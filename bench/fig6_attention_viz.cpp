@@ -53,7 +53,10 @@ int main(int argc, char** argv) {
 
   auto norm = sevuldet::normalize::normalize_gadget(gadget);
   auto ids = corpus.vocab.encode(norm.tokens);
-  const float probability = model->predict(ids);
+  const sevuldet::models::BatchItem item{&ids};
+  sevuldet::models::Prediction prediction;
+  model->predict_batch(&item, 1, &prediction);
+  const float probability = prediction.probability;
   std::printf("\ngadget tokens: %zu (no truncation — flexible length)\n",
               ids.size());
   std::printf("SEVulDet probability: %.3f (threshold %.1f)\n", probability,
@@ -61,7 +64,7 @@ int main(int argc, char** argv) {
 
   // Top-10 attention tokens by distinct spelling (max weight per
   // spelling), normalized to the maximum — the Fig. 6 right panel.
-  const auto& weights = model->last_token_weights();
+  const auto& weights = prediction.token_weights;
   std::map<std::string, float> by_token;
   for (std::size_t i = 0; i < weights.size() && i < norm.tokens.size(); ++i) {
     float& w = by_token[norm.tokens[i]];

@@ -1,13 +1,12 @@
 // Batched-inference microbenchmark: the length-bucketed predict_batch
-// engine vs the per-gadget autograd forward, across batch sizes and
-// forward precisions, plus the load-time tile autotuner vs the
-// compiled-in default tiles. Records BENCH_batch.json in the
-// metrics-registry schema; absolute scans/s gauges are informational
-// (suffix _scans_per_s never gates), the committed baseline's
-// "speedups" section gates the machine-independent ratios instead:
+// engine vs the per-gadget autograd forward (the base class's
+// Detector::predict_batch loop), across batch sizes. Records
+// BENCH_batch.json in the metrics-registry schema; absolute scans/s
+// gauges are informational (suffix _scans_per_s never gates), the
+// committed baseline's "speedups" section gates the machine-independent
+// ratio instead:
 //
-//   batched_vs_single   batch-32 fp32 / per-gadget fp32   >= 1.02
-//   autotuned_vs_fixed  autotuned tiles / default tiles   >= 0.9
+//   batched_vs_single   batch-32 / per-gadget loop   >= 1.02
 //
 // Why the batched floor is ~1.05x and not the 2x a batching engine
 // usually promises: the per-gadget forward is ALREADY a batched
@@ -24,8 +23,8 @@
 // steady state and from the serve/eval paths no longer building an
 // autograd graph per gadget.
 // The bench is also a correctness harness: before timing anything it
-// scores every gadget once through predict_batch and once through
-// predict_captured and exits 4 unless the fp32 results (probability and
+// scores every gadget once through the batched engine and once through
+// the base loop and exits 4 unless the results (probability and
 // attention read-outs) are bit-identical. The steady-state batched pass
 // is alloc-counted (this TU overrides operator new) — after warmup a
 // batch must allocate nothing (counter bench.batch32.allocs_per_pass).
@@ -44,8 +43,6 @@
 
 #include "bench_common.hpp"
 #include "sevuldet/models/sevuldet_net.hpp"
-#include "sevuldet/nn/autograd.hpp"
-#include "sevuldet/nn/kernels.hpp"
 #include "sevuldet/util/metrics.hpp"
 
 // --- allocation counter ----------------------------------------------------
@@ -72,7 +69,6 @@ void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 namespace {
 
 namespace sm = sevuldet::models;
-namespace nn = sevuldet::nn;
 namespace su = sevuldet::util;
 using Clock = std::chrono::steady_clock;
 
@@ -142,7 +138,6 @@ int main(int argc, char** argv) {
   reps = std::max(1, reps);
   if (!json_path.empty()) su::metrics::set_enabled(true);
   namespace metrics = su::metrics;
-  namespace kernels = nn::kernels;
 
   sm::ModelConfig config;
   config.vocab_size = 500;  // paper-scale net, small vocab for fast init
@@ -154,15 +149,9 @@ int main(int argc, char** argv) {
   std::vector<sm::Prediction> batched(gadgets.size());
   std::vector<sm::Prediction> single(gadgets.size());
 
-  // --- correctness: batched fp32 must be bit-identical to per-gadget --
+  // --- correctness: batched must be bit-identical to per-gadget ------
   net.predict_batch(items.data(), items.size(), batched.data());
-  {
-    nn::Graph graph;
-    for (std::size_t i = 0; i < gadgets.size(); ++i) {
-      nn::GraphScope scope(graph);
-      single[i] = net.predict_captured(gadgets[i]);
-    }
-  }
+  net.Detector::predict_batch(items.data(), items.size(), single.data());
   bool identical = true;
   for (std::size_t i = 0; i < gadgets.size(); ++i) {
     if (!bits_equal(batched[i].probability, single[i].probability) ||
@@ -174,17 +163,9 @@ int main(int argc, char** argv) {
     }
   }
   metrics::label_set("bench.batched_identical", identical ? "true" : "false");
-  std::printf("batched fp32 bit-identical to per-gadget: %s\n",
+  std::printf("batched bit-identical to per-gadget: %s\n",
               identical ? "yes" : "NO");
   if (!identical) return 4;
-
-  // Install the autotuned tiles up front — that is what `sevuldet scan`
-  // runs after load — so every throughput row below measures the
-  // production configuration. The fixed-vs-autotuned comparison swaps
-  // the default tiles back in for its one row.
-  const kernels::GemmTiles tuned =
-      kernels::autotune_gemm_tiles(net.batch_gemm_shapes(256));
-  kernels::set_gemm_tiles(tuned);
 
   auto batched_pass = [&](int batch) {
     for (std::size_t off = 0; off < items.size();
@@ -208,17 +189,13 @@ int main(int argc, char** argv) {
     metrics::gauge_set(name, value);
   };
 
-  // Per-gadget fp32 reference (the pre-batching serve/eval loop).
-  net.set_precision(sm::Precision::kFp32);
+  // Per-gadget reference (the pre-batching serve/eval loop).
   record("bench.single.fp32_scans_per_s", best_of_reps([&] {
-           nn::Graph graph;
-           for (const auto& ids : gadgets) {
-             nn::GraphScope scope(graph);
-             net.predict_captured(ids);
-           }
+           net.Detector::predict_batch(items.data(), items.size(),
+                                       single.data());
          }));
 
-  // Batch-size sweep at fp32, then the quantized paths at batch 32.
+  // Batch-size sweep.
   for (const int batch : {8, 32, gadget_count}) {
     const std::string name = batch == gadget_count
                                  ? "bench.batchfull.fp32_scans_per_s"
@@ -226,14 +203,6 @@ int main(int argc, char** argv) {
                                        ".fp32_scans_per_s";
     record(name, best_of_reps([&] { batched_pass(batch); }));
   }
-  for (const sm::Precision precision :
-       {sm::Precision::kFp16, sm::Precision::kInt8}) {
-    net.set_precision(precision);
-    record(std::string("bench.batch32.") + sm::precision_name(precision) +
-               "_scans_per_s",
-           best_of_reps([&] { batched_pass(32); }));
-  }
-  net.set_precision(sm::Precision::kFp32);
 
   // Steady-state allocation count: one warm batched pass must not touch
   // the heap (scratch and bucket vectors are recycled).
@@ -248,18 +217,6 @@ int main(int argc, char** argv) {
     table.add_row(
         {"bench.batch32.allocs_per_pass", std::to_string(per_pass)});
   }
-
-  // Default tiles vs autotuned tiles, same batched fp32 pass. The floor
-  // is 0.9 (not 1.0): on shapes this small the candidates are close and
-  // scheduler noise can flip a few percent either way — the gate only
-  // rejects an autotuner that picks a clearly losing configuration.
-  kernels::set_gemm_tiles(kernels::default_gemm_tiles());
-  record("bench.tiles.fixed_scans_per_s",
-         best_of_reps([&] { batched_pass(32); }));
-  kernels::set_gemm_tiles(tuned);
-  record("bench.tiles.autotuned_scans_per_s",
-         best_of_reps([&] { batched_pass(32); }));
-  kernels::reset_gemm_tiles();
 
   metrics::gauge_set("bench.gadgets", gadget_count);
   metrics::gauge_set("bench.secs_per_row", secs);

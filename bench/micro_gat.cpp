@@ -5,8 +5,9 @@
 //   exit 4  blocked graph kernels != their naive oracles
 //           (gather/scatter/segment-softmax/segment-mean over
 //           corpus-shaped random graphs)
-//   exit 5  GatNet node-bucketed predict_batch != the per-item
-//           predict_captured_item loop (probability or token weights)
+//   exit 5  GatNet node-bucketed predict_batch != the base class's
+//           per-item Detector::predict_batch loop (probability or
+//           token weights)
 //
 // Then it records throughput gauges (absolute scans/s never gate; the
 // committed BENCH_gat.json baseline gates the machine-independent
@@ -253,13 +254,7 @@ int main(int argc, char** argv) {
 
   // --- correctness 2: bucketed batch == per-item loop, bitwise --------
   net.predict_batch(items.data(), items.size(), batched.data());
-  {
-    nn::Graph graph;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      nn::GraphScope scope(graph);
-      single[i] = net.predict_captured_item(items[i]);
-    }
-  }
+  net.Detector::predict_batch(items.data(), items.size(), single.data());
   bool identical = true;
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (!bits_equal(batched[i].probability, single[i].probability) ||
@@ -291,11 +286,8 @@ int main(int argc, char** argv) {
   };
 
   record("bench.gat.single_scans_per_s", best_of_reps([&] {
-           nn::Graph graph;
-           for (const sm::BatchItem& item : items) {
-             nn::GraphScope scope(graph);
-             net.predict_captured_item(item);
-           }
+           net.Detector::predict_batch(items.data(), items.size(),
+                                       single.data());
          }));
   auto batched_pass = [&] {
     net.predict_batch(items.data(), items.size(), batched.data());

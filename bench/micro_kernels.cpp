@@ -144,7 +144,7 @@ void train_step_bench(benchmark::State& state, bool use_arena) {
 
   auto one_step = [&]() {
     nn::NodePtr loss =
-        nn::bce_with_logits(net.forward_logit(ids, /*train=*/true), 1.0f);
+        nn::bce_with_logits(net.forward_logit({&ids}, /*train=*/true), 1.0f);
     opt.zero_grad();
     nn::backward(loss);
     opt.clip_grad_norm(5.0f);
@@ -197,13 +197,13 @@ void BM_PredictArena(benchmark::State& state) {
   nn::Graph graph;
   for (int i = 0; i < 3; ++i) {
     nn::GraphScope scope(graph);
-    benchmark::DoNotOptimize(net.predict(ids));
+    benchmark::DoNotOptimize(net.forward_logit({&ids}, /*train=*/false));
   }
   const long long allocs_before = g_allocs.load(std::memory_order_relaxed);
   long long steps = 0;
   for (auto _ : state) {
     nn::GraphScope scope(graph);
-    benchmark::DoNotOptimize(net.predict(ids));
+    benchmark::DoNotOptimize(net.forward_logit({&ids}, /*train=*/false));
     ++steps;
   }
   const long long allocs_after = g_allocs.load(std::memory_order_relaxed);

@@ -2,7 +2,7 @@
 // network stages: lexing, parsing, PDG construction, path-sensitive
 // slicing, normalization, and the SPP-CNN forward pass across sequence
 // lengths — plus the end-to-end phase split (preprocess cold/warm
-// through the corpus cache, train, evaluate, model save/load v1 vs v2)
+// through the corpus cache, train, evaluate, model save/load)
 // that tracks the pipeline's perf trajectory. Record a machine's
 // baseline with:
 //   ./bench/micro_pipeline --benchmark_format=json > bench/BENCH_pipeline.json
@@ -100,8 +100,9 @@ void BM_SeVulDetForward(benchmark::State& state) {
   models::SeVulDetNet net(config);
   std::vector<int> ids(static_cast<std::size_t>(state.range(0)));
   for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = 2 + static_cast<int>(i % 190);
+  const models::BatchItem item{&ids};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.predict(ids));
+    benchmark::DoNotOptimize(net.forward_logit(item, /*train=*/false));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
@@ -110,7 +111,7 @@ BENCHMARK(BM_SeVulDetForward)->Arg(30)->Arg(100)->Arg(300)->Arg(1000);
 // --- end-to-end phase split ------------------------------------------------
 // One small fixed workload (generated once) timed phase by phase:
 // preprocessing with a cold vs warm corpus cache, detector training per
-// epoch, evaluation, and model persistence in both formats. Together the
+// epoch, evaluation, and model persistence. Together the
 // rows give the preprocess / train / eval wall-clock split a full run
 // pays.
 
@@ -280,30 +281,13 @@ void BM_DetectExplain(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectExplain)->Unit(benchmark::kMillisecond);
 
-// Model persistence: v1 self-describing text vs the v2 checksummed
-// binary fast path (same trained detector, same temp file).
-void BM_ModelSaveV1(benchmark::State& state) {
-  const auto path = bench_tmp("model-v1").string();
-  for (auto _ : state) phase_detector().save_text_v1(path);
-  std::filesystem::remove(path);
-}
-BENCHMARK(BM_ModelSaveV1)->Unit(benchmark::kMillisecond);
-
+// Model persistence: the v2 checksummed binary format.
 void BM_ModelSaveV2(benchmark::State& state) {
   const auto path = bench_tmp("model-v2").string();
   for (auto _ : state) phase_detector().save(path);
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_ModelSaveV2)->Unit(benchmark::kMillisecond);
-
-void BM_ModelLoadV1(benchmark::State& state) {
-  const auto path = bench_tmp("model-v1-load").string();
-  phase_detector().save_text_v1(path);
-  core::SeVulDet restored(phase_pipeline_config());
-  for (auto _ : state) restored.load(path);
-  std::filesystem::remove(path);
-}
-BENCHMARK(BM_ModelLoadV1)->Unit(benchmark::kMillisecond);
 
 void BM_ModelLoadV2(benchmark::State& state) {
   const auto path = bench_tmp("model-v2-load").string();

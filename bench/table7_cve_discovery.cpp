@@ -72,7 +72,10 @@ int main(int argc, char** argv) {
       if (!covers_flaw) continue;
       auto norm = sevuldet::normalize::normalize_gadget(gadget);
       auto ids = fw.train_corpus.vocab.encode(norm.tokens);
-      best = std::max(best, fw.model->predict(ids));
+      const sm::BatchItem item{&ids};
+      sm::Prediction prediction;
+      fw.model->predict_batch(&item, 1, &prediction);
+      best = std::max(best, prediction.probability);
     }
     return best;
   };

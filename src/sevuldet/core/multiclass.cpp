@@ -40,6 +40,22 @@ const std::string& CweClassMap::name_of(int class_id) const {
   return names_.at(static_cast<std::size_t>(class_id));
 }
 
+namespace {
+
+/// Argmax class of one eval-mode forward over the softmax probabilities
+/// (class 0 is "benign").
+int argmax_class(models::Detector& detector, const models::BatchItem& item) {
+  const nn::NodePtr logits = detector.forward_logit(item, /*train=*/false);
+  const std::vector<float> probs = nn::softmax_row_values(logits->value);
+  int best = 0;
+  for (std::size_t j = 1; j < probs.size(); ++j) {
+    if (probs[j] > probs[static_cast<std::size_t>(best)]) best = static_cast<int>(j);
+  }
+  return best;
+}
+
+}  // namespace
+
 TrainResult train_multiclass(models::Detector& detector, const SampleRefs& train,
                              const CweClassMap& classes,
                              const TrainConfig& config) {
@@ -77,7 +93,8 @@ TrainResult train_multiclass(models::Detector& detector, const SampleRefs& train
       const auto& sample = *train[i];
       if (sample.ids.empty()) continue;
       nn::GraphScope scope(graph);
-      nn::NodePtr logits = detector.forward_logit(sample.ids, /*train=*/true);
+      const models::BatchItem item{&sample.ids, false, &sample.graph};
+      nn::NodePtr logits = detector.forward_logit(item, /*train=*/true);
       const int target = classes.class_of(sample);
       nn::NodePtr loss = nn::cross_entropy_with_logits(logits, target);
       if (target != 0 && pos_weight != 1.0f) loss = nn::scale(loss, pos_weight);
@@ -116,8 +133,8 @@ MulticlassEval evaluate_multiclass(models::Detector& detector,
     if (sample->ids.empty()) continue;
     nn::GraphScope scope(graph);
     const int truth = classes.class_of(*sample);
-    const auto [predicted, prob] = detector.predict_class(sample->ids);
-    (void)prob;
+    const int predicted =
+        argmax_class(detector, {&sample->ids, false, &sample->graph});
     ++eval.confusion[static_cast<std::size_t>(truth)][static_cast<std::size_t>(predicted)];
     if (truth == predicted) ++correct;
     ++total;

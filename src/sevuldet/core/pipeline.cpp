@@ -1,9 +1,7 @@
 #include "sevuldet/core/pipeline.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "sevuldet/dataset/gadget_graph.hpp"
@@ -20,10 +18,11 @@ namespace sevuldet::core {
 
 SeVulDet::SeVulDet(PipelineConfig config) : config_(std::move(config)) {}
 
-void SeVulDet::build_model() {
+std::unique_ptr<models::Detector> SeVulDet::make_model(
+    const std::string& backend, const normalize::Vocabulary& vocab) const {
   models::ModelConfig model_config = config_.model;
-  model_config.vocab_size = vocab_.size();
-  model_ = models::make_detector(config_.backend, std::move(model_config));
+  model_config.vocab_size = vocab.size();
+  return models::make_detector(backend, std::move(model_config));
 }
 
 TrainResult SeVulDet::train(const std::vector<dataset::TestCase>& programs) {
@@ -36,7 +35,7 @@ TrainResult SeVulDet::train(const std::vector<dataset::TestCase>& programs) {
 TrainResult SeVulDet::train_on_corpus(const dataset::Corpus& corpus,
                                       const SampleRefs& train_set) {
   vocab_ = corpus.vocab;
-  build_model();
+  model_ = make_model(config_.backend, vocab_);
 
   if (config_.pretrain_embeddings) {
     nn::Word2VecConfig w2v_config = config_.word2vec;
@@ -203,10 +202,6 @@ std::vector<Finding> SeVulDet::detect(const std::string& source,
   const std::vector<slicer::SpecialToken> tokens =
       slicer::find_special_tokens(program);
 
-  if (model_->precision() != options.precision) {
-    model_->set_precision(options.precision);
-  }
-
   // Slice + normalize a chunk of special tokens, then score the chunk in
   // one length-bucketed predict_batch call (same per-gadget results as
   // scoring one at a time — bitwise at fp32 — but each bucket runs as
@@ -264,13 +259,11 @@ std::vector<Finding> SeVulDet::detect(const std::string& source,
 
 namespace {
 
-// v2 layout: the text header line (so a v1 reader fails with a clear
-// message), then a framed binary payload — magic + format version + size
-// + payload + FNV-1a checksum, the same framing as compiled-corpus files.
-// v3 prepends the backend name to the payload so load() rebuilds the
-// right network; "cnn" models keep writing v2, byte-identical to every
-// pre-registry build (pipeline_test pins this).
-constexpr std::string_view kModelHeaderV1 = "SEVULDET-MODEL v1\n";
+// v2 layout: a text header line, then a framed binary payload — magic +
+// format version + size + payload + FNV-1a checksum, the same framing as
+// compiled-corpus files. v3 prepends the backend name to the payload so
+// load() rebuilds the right network; "cnn" models keep writing v2,
+// byte-identical to every pre-registry build (pipeline_test pins this).
 constexpr std::string_view kModelHeaderV2 = "SEVULDET-MODEL v2\n";
 constexpr std::string_view kModelHeaderV3 = "SEVULDET-MODEL v3\n";
 constexpr std::string_view kModelMagic = "SVDMODL\n";
@@ -302,81 +295,35 @@ void SeVulDet::save(const std::string& path) const {
   util::write_binary_file(path, bytes);
 }
 
-void SeVulDet::save_text_v1(const std::string& path) const {
-  if (!trained()) throw std::logic_error("SeVulDet::save before train");
-  util::trace::ScopedSpan span("model.save");
-  util::metrics::counter_add("model.saves");
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for write: " + path);
-  const std::string vocab_blob = vocab_.serialize();
-  out << kModelHeaderV1;
-  out << "vocab " << vocab_blob.size() << '\n';
-  out << vocab_blob;
-  out << nn::serialize_params(model_->params());
-}
-
 void SeVulDet::load(const std::string& path) {
   util::trace::ScopedSpan span("model.load");
   util::metrics::counter_add("model.loads");
   const std::string bytes = util::read_binary_file(path);
   const bool v3 = bytes.compare(0, kModelHeaderV3.size(), kModelHeaderV3) == 0;
-  if (v3 || bytes.compare(0, kModelHeaderV2.size(), kModelHeaderV2) == 0) {
-    const std::string payload = util::unframe_payload(
-        kModelMagic, v3 ? kModelFormatVersionV3 : kModelFormatVersion,
-        std::string_view(bytes).substr(kModelHeaderV2.size()), "model file");
-    util::ByteReader in(payload);
-    if (v3) {
-      const std::string backend = in.str();
-      if (!models::valid_backend(backend)) {
-        throw std::runtime_error("model file: unknown backend '" + backend + "'");
-      }
-      config_.backend = backend;
-    } else {
-      config_.backend = models::kDefaultBackend;  // v2 predates backends
-    }
-    vocab_ = normalize::Vocabulary::deserialize(in.str());
-    build_model();
-    nn::deserialize_params_binary(model_->params(), in);
-    if (!in.done()) {
-      throw std::runtime_error("model file: trailing bytes in payload");
-    }
-    // Load-time tile autotuning: benchmark candidate GEMM cache tiles on
-    // this model's actual batched layer shapes and install the winner
-    // (once per process; results are tile-invariant, so this only moves
-    // wall clock). Backends without a batched GEMM engine report no
-    // shapes and skip it.
-    const auto shapes = model_->batch_gemm_shapes(256);
-    if (!shapes.empty()) nn::kernels::autotune_gemm_for_shapes(shapes);
-    return;
-  }
-  if (bytes.compare(0, kModelHeaderV1.size(), kModelHeaderV1) != 0) {
+  if (!v3 && bytes.compare(0, kModelHeaderV2.size(), kModelHeaderV2) != 0) {
     throw std::runtime_error("bad model file header: " +
                              bytes.substr(0, bytes.find('\n')));
   }
-
-  // Legacy v1 text format, with explicit bounds checks: a truncated file
-  // must throw, never yield a silently NUL-padded vocabulary.
-  std::istringstream in(bytes.substr(kModelHeaderV1.size()));
-  std::string tag;
-  std::size_t vocab_size = 0;
-  in >> tag >> vocab_size;
-  if (tag != "vocab") throw std::runtime_error("bad model file: missing vocab");
-  in.ignore(1);  // newline
-  std::string vocab_blob(vocab_size, '\0');
-  in.read(vocab_blob.data(), static_cast<std::streamsize>(vocab_size));
-  if (static_cast<std::size_t>(in.gcount()) != vocab_size) {
-    throw std::runtime_error("model file: truncated vocabulary (expected " +
-                             std::to_string(vocab_size) + " bytes, got " +
-                             std::to_string(in.gcount()) + ")");
+  const std::string payload = util::unframe_payload(
+      kModelMagic, v3 ? kModelFormatVersionV3 : kModelFormatVersion,
+      std::string_view(bytes).substr(kModelHeaderV2.size()), "model file");
+  util::ByteReader in(payload);
+  std::string backend = models::kDefaultBackend;  // v2 predates backends
+  if (v3) {
+    backend = in.str();
+    if (!models::valid_backend(backend)) {
+      throw std::runtime_error("model file: unknown backend '" + backend + "'");
+    }
   }
-  vocab_ = normalize::Vocabulary::deserialize(vocab_blob);
-  config_.backend = models::kDefaultBackend;  // v1 predates backends
-  build_model();
-  std::ostringstream rest;
-  rest << in.rdbuf();
-  nn::deserialize_params(model_->params(), rest.str());
-  const auto shapes = model_->batch_gemm_shapes(256);
-  if (!shapes.empty()) nn::kernels::autotune_gemm_for_shapes(shapes);
+  normalize::Vocabulary vocab = normalize::Vocabulary::deserialize(in.str());
+  std::unique_ptr<models::Detector> model = make_model(backend, vocab);
+  nn::deserialize_params_binary(model->params(), in);
+  if (!in.done()) {
+    throw std::runtime_error("model file: trailing bytes in payload");
+  }
+  config_.backend = std::move(backend);
+  vocab_ = std::move(vocab);
+  model_ = std::move(model);
 }
 
 }  // namespace sevuldet::core

@@ -30,7 +30,7 @@ struct PipelineConfig {
   bool pretrain_embeddings = true;
   /// Detector backend, resolved through models::make_detector ("cnn" is
   /// the paper's CNN trunk, "gat" the graph-attention backbone). The
-  /// name is persisted in v3 model files; v1/v2 files are always "cnn".
+  /// name is persisted in v3 model files; v2 files are always "cnn".
   std::string backend = models::kDefaultBackend;
 };
 
@@ -69,11 +69,6 @@ struct Finding {
 struct DetectOptions {
   int top_k = 10;       // attention tokens / attributions per finding
   bool explain = false; // fill Finding::attributions/spatial_attention
-  /// Forward precision for scoring (see models::Precision). fp32 is the
-  /// exact reference; fp16/int8 trade bounded score drift for speed (the
-  /// quality gate bounds the F1/AUC loss). Applied to the model — and
-  /// inherited by its per-worker clones — before scoring.
-  models::Precision precision = models::Precision::kFp32;
 };
 
 /// One sliced + normalized + encoded gadget of a scan, ready for
@@ -118,9 +113,6 @@ class SeVulDet {
   std::vector<Finding> detect(const std::string& source,
                               const DetectOptions& options);
 
-  /// Probability for a single pre-encoded gadget (used by evaluation).
-  float predict(const std::vector<int>& ids) { return model_->predict(ids); }
-
   /// Detection-phase preprocessing only (Steps I-III + encoding): slice
   /// every special token of `source`, normalize, and encode against the
   /// loaded vocabulary. Gadgets that detect() would drop (empty gadget /
@@ -157,18 +149,18 @@ class SeVulDet {
   /// Persist / restore the trained detector (vocabulary + parameters).
   /// save() writes the v2 checksummed binary format for the default
   /// "cnn" backend (byte-identical to pre-registry builds) and the v3
-  /// format — v2 plus the backend name — for every other backend;
-  /// load() reads v3, v2, and the legacy v1 text format (restoring the
-  /// recorded backend; v1/v2 imply "cnn") and throws std::runtime_error
-  /// on truncated or corrupt files of any version.
+  /// format — v2 plus the backend name — for every other backend.
+  /// load() reads v3 and v2 (restoring the recorded backend; v2 implies
+  /// "cnn") and throws std::runtime_error on truncated, corrupt or
+  /// mismatched files. A load that throws leaves the detector exactly as
+  /// it was: the file is decoded into a fresh model and committed only
+  /// once every parameter has been read.
   void save(const std::string& path) const;
   void load(const std::string& path);
-  /// Legacy v1 text writer, kept so back-compat loading stays testable
-  /// (and to measure the v2 speedup in bench/micro_pipeline).
-  void save_text_v1(const std::string& path) const;
 
  private:
-  void build_model();
+  std::unique_ptr<models::Detector> make_model(
+      const std::string& backend, const normalize::Vocabulary& vocab) const;
   static std::vector<std::pair<std::string, float>> top_attention_tokens(
       const std::vector<float>& weights, const std::vector<std::string>& tokens,
       int top_k);

@@ -78,11 +78,10 @@ TrainResult train_detector(models::Detector& detector, const SampleRefs& train,
       if (sample.ids.empty()) continue;
       util::metrics::counter_add("train.steps");
       nn::GraphScope scope(graph);
-      // Through the item seam so graph backends see the sample's PDG
-      // projection; sequence backends delegate to forward_logit(ids) —
-      // byte-identical to the pre-seam loop.
+      // Graph backends see the sample's PDG projection; sequence
+      // backends read only the tokens.
       const models::BatchItem item{&sample.ids, false, &sample.graph};
-      nn::NodePtr logit = detector.forward_logit_item(item, /*train=*/true);
+      nn::NodePtr logit = detector.forward_logit(item, /*train=*/true);
       const bool predicted = logit->value.at(0, 0) > logit_threshold;
       correct += predicted == (sample.label == 1) ? 1 : 0;
       ++counted;

@@ -24,7 +24,6 @@ BiRnnNet::BiRnnNet(ModelConfig config, nn::RnnKind kind, std::string name)
 std::unique_ptr<Detector> BiRnnNet::clone() const {
   auto copy = std::make_unique<BiRnnNet>(config_, kind_, name_);
   copy_parameters(store_, copy->store_);
-  copy->set_precision(precision_);  // bookkeeping only — BiRNNs score fp32
   return copy;
 }
 
@@ -39,9 +38,9 @@ std::vector<int> BiRnnNet::fix_length(const std::vector<int>& tokens) const {
   return ids;
 }
 
-nn::NodePtr BiRnnNet::forward_logit(const std::vector<int>& tokens, bool train) {
+nn::NodePtr BiRnnNet::forward_logit(const BatchItem& item, bool train) {
   std::vector<int>& ids = ids_scratch_;
-  ids.assign(tokens.begin(), tokens.end());
+  ids.assign(item.tokens->begin(), item.tokens->end());
   const std::size_t target = static_cast<std::size_t>(config_.fixed_length);
   if (ids.size() > target) {
     ids.resize(target);

@@ -15,7 +15,7 @@ class BiRnnNet : public Detector {
  public:
   BiRnnNet(ModelConfig config, nn::RnnKind kind, std::string name);
 
-  nn::NodePtr forward_logit(const std::vector<int>& tokens, bool train) override;
+  nn::NodePtr forward_logit(const BatchItem& item, bool train) override;
   const std::string& name() const override { return name_; }
   nn::ParamStore& params() override { return store_; }
 

@@ -125,29 +125,25 @@ nn::NodePtr GatNet::forward_graph(const std::vector<int>& tokens,
   return fc2_->forward(z);  // [1, max(1, num_classes)] logits
 }
 
-nn::NodePtr GatNet::forward_logit(const std::vector<int>& tokens, bool train) {
+nn::NodePtr GatNet::forward_logit(const BatchItem& item, bool train) {
+  const std::vector<int>& tokens = *item.tokens;
+  const graph::GadgetGraph* graph = item.graph;
+  // Accept the graph only when it is structurally consistent with the
+  // token stream (legacy corpora and ad-hoc callers ship none).
+  if (graph != nullptr && !graph->empty() && graph->node_offsets.front() == 0 &&
+      graph->node_offsets.back() == tokens.size()) {
+    offsets_scratch_.assign(graph->node_offsets.begin(),
+                            graph->node_offsets.end());
+    return forward_graph(tokens, offsets_scratch_, graph, train);
+  }
   // No structure available: the whole stream is one node (with its
   // self-loop) — attention degenerates to the dense head over the mean
-  // embedding, which keeps legacy token-only callers functional.
+  // embedding.
   static const std::vector<int> kPad{0};
   const std::vector<int>& ids = tokens.empty() ? kPad : tokens;
   offsets_scratch_.assign(1, 0);
   offsets_scratch_.push_back(static_cast<int>(ids.size()));
   return forward_graph(ids, offsets_scratch_, nullptr, train);
-}
-
-nn::NodePtr GatNet::forward_logit_item(const BatchItem& item, bool train) {
-  const std::vector<int>& tokens = *item.tokens;
-  const graph::GadgetGraph* graph = item.graph;
-  // Accept the graph only when it is structurally consistent with the
-  // token stream (legacy corpora and ad-hoc callers ship none).
-  if (graph == nullptr || graph->empty() || graph->node_offsets.front() != 0 ||
-      graph->node_offsets.back() != tokens.size()) {
-    return forward_logit(tokens, train);
-  }
-  offsets_scratch_.assign(graph->node_offsets.begin(),
-                          graph->node_offsets.end());
-  return forward_graph(tokens, offsets_scratch_, graph, train);
 }
 
 void GatNet::predict_batch(const BatchItem* items, std::size_t count,
@@ -168,16 +164,13 @@ void GatNet::predict_batch(const BatchItem* items, std::size_t count,
   for (const auto& [nodes, i] : bucket_order_) {
     (void)nodes;
     nn::GraphScope scope(batch_graph_);
-    out[i].probability = predict_item(items[i]);
-    out[i].token_weights = last_token_weights();
-    out[i].spatial_weights.clear();  // no spatial attention on this backend
+    predict_one(items[i], out[i]);
   }
 }
 
 std::unique_ptr<GatNet> GatNet::clone_gat() const {
   auto copy = std::make_unique<GatNet>(config_);
   copy_parameters(store_, copy->store_);
-  copy->set_precision(precision_);
   return copy;
 }
 

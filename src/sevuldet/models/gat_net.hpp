@@ -32,15 +32,11 @@ class GatNet : public Detector {
  public:
   explicit GatNet(ModelConfig config);
 
-  /// Sequence entry point: the token stream becomes a single-node graph
-  /// (no structure available). Kept exact so graph-less callers and the
-  /// legacy predict(tokens) API stay usable on this backend.
-  nn::NodePtr forward_logit(const std::vector<int>& tokens, bool train) override;
-
   /// Graph-aware forward: uses item.graph when present and consistent
-  /// with the token stream, otherwise falls back to the single-node
-  /// path above.
-  nn::NodePtr forward_logit_item(const BatchItem& item, bool train) override;
+  /// with the token stream. Otherwise (null or mismatched graph) the
+  /// token stream becomes a single-node graph, so graph-less callers
+  /// still score on this backend.
+  nn::NodePtr forward_logit(const BatchItem& item, bool train) override;
 
   const std::string& name() const override { return name_; }
   nn::ParamStore& params() override { return store_; }
@@ -60,7 +56,6 @@ class GatNet : public Detector {
   /// still runs in its own GraphScope) — gat_test pins this.
   void predict_batch(const BatchItem* items, std::size_t count,
                      Prediction* out) override;
-  using Detector::predict_batch;  // keep the vector convenience overload
 
   std::unique_ptr<GatNet> clone_gat() const;
   std::unique_ptr<Detector> clone() const override { return clone_gat(); }

@@ -5,39 +5,6 @@
 
 namespace sevuldet::models {
 
-float Detector::predict(const std::vector<int>& tokens) {
-  nn::NodePtr logit = forward_logit(tokens, /*train=*/false);
-  if (config_.num_classes > 1) {
-    return 1.0f - nn::softmax_row_values(logit->value)[0];
-  }
-  return 1.0f / (1.0f + std::exp(-logit->value.at(0, 0)));
-}
-
-float Detector::predict_item(const BatchItem& item) {
-  nn::NodePtr logit = forward_logit_item(item, /*train=*/false);
-  if (config_.num_classes > 1) {
-    return 1.0f - nn::softmax_row_values(logit->value)[0];
-  }
-  return 1.0f / (1.0f + std::exp(-logit->value.at(0, 0)));
-}
-
-Prediction Detector::predict_captured(const std::vector<int>& tokens,
-                                      bool capture_spatial) {
-  Prediction out;
-  out.probability = predict(tokens);
-  out.token_weights = last_token_weights();
-  if (capture_spatial) out.spatial_weights = last_spatial_weights();
-  return out;
-}
-
-Prediction Detector::predict_captured_item(const BatchItem& item) {
-  Prediction out;
-  out.probability = predict_item(item);
-  out.token_weights = last_token_weights();
-  if (item.capture_spatial) out.spatial_weights = last_spatial_weights();
-  return out;
-}
-
 const std::vector<float>& Detector::last_token_weights() const {
   static const std::vector<float> kEmpty;
   return kEmpty;
@@ -48,70 +15,26 @@ const std::vector<float>& Detector::last_spatial_weights() const {
   return kEmpty;
 }
 
-bool Detector::is_vulnerable(const std::vector<int>& tokens) {
-  return predict(tokens) > config_.threshold;
-}
-
-std::pair<int, float> Detector::predict_class(const std::vector<int>& tokens) {
-  nn::NodePtr logit = forward_logit(tokens, /*train=*/false);
-  if (config_.num_classes <= 1) {
-    const float p = 1.0f / (1.0f + std::exp(-logit->value.at(0, 0)));
-    return {p > config_.threshold ? 1 : 0, p};
-  }
-  auto probs = nn::softmax_row_values(logit->value);
-  int best = 0;
-  for (int j = 1; j < config_.num_classes; ++j) {
-    if (probs[static_cast<std::size_t>(j)] > probs[static_cast<std::size_t>(best)]) {
-      best = j;
-    }
-  }
-  return {best, probs[static_cast<std::size_t>(best)]};
-}
-
-const char* precision_name(Precision precision) {
-  switch (precision) {
-    case Precision::kFp32: return "fp32";
-    case Precision::kFp16: return "fp16";
-    case Precision::kInt8: return "int8";
-  }
-  return "?";
-}
-
-bool parse_precision(const std::string& text, Precision* out) {
-  if (text == "fp32") {
-    *out = Precision::kFp32;
-  } else if (text == "fp16") {
-    *out = Precision::kFp16;
-  } else if (text == "int8") {
-    *out = Precision::kInt8;
-  } else {
-    return false;
-  }
-  return true;
+void Detector::predict_one(const BatchItem& item, Prediction& out) {
+  const nn::NodePtr logit = forward_logit(item, /*train=*/false);
+  out.probability = config_.num_classes > 1
+                        ? 1.0f - nn::softmax_row_values(logit->value)[0]
+                        : 1.0f / (1.0f + std::exp(-logit->value.at(0, 0)));
+  // Empty for models without an attention head.
+  out.token_weights = last_token_weights();
+  out.spatial_weights =
+      item.capture_spatial ? last_spatial_weights() : std::vector<float>{};
 }
 
 void Detector::predict_batch(const BatchItem* items, std::size_t count,
                              Prediction* out) {
-  // Loop fallback: byte-identical to calling predict() per item (the
-  // batch_test suite pins this for BiRnnNet). Attention read-outs come
-  // from last_*_weights(), which is empty for models without an
-  // attention head. Each item gets its own graph scope so the autograd
-  // arena is recycled per forward, exactly like the serial eval loop.
+  // Each item gets its own graph scope so the autograd arena is recycled
+  // per forward, exactly like the serial eval loop.
   nn::Graph graph;
   for (std::size_t i = 0; i < count; ++i) {
     nn::GraphScope scope(graph);
-    out[i].probability = predict_item(items[i]);
-    out[i].token_weights = last_token_weights();
-    out[i].spatial_weights =
-        items[i].capture_spatial ? last_spatial_weights() : std::vector<float>{};
+    predict_one(items[i], out[i]);
   }
-}
-
-std::vector<Prediction> Detector::predict_batch(
-    const std::vector<BatchItem>& items) {
-  std::vector<Prediction> out(items.size());
-  predict_batch(items.data(), items.size(), out.data());
-  return out;
 }
 
 void copy_parameters(const nn::ParamStore& from, nn::ParamStore& to) {

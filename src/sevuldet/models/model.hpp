@@ -1,7 +1,8 @@
-// Common detector interface. Every model maps a token-id sequence to a
-// vulnerability probability; training runs per-sample SGD/Adam on binary
-// cross-entropy. The paper classifies with threshold 0.8 ("if this
-// number is greater than 0.8, the output is flawed").
+// Common detector interface. Every model maps a gadget (token-id sequence,
+// optionally its PDG projection) to a vulnerability probability; training
+// runs per-sample SGD/Adam on binary cross-entropy. The paper classifies
+// with threshold 0.8 ("if this number is greater than 0.8, the output is
+// flawed").
 #pragma once
 
 #include <memory>
@@ -9,7 +10,6 @@
 #include <vector>
 
 #include "sevuldet/graph/gadget_graph.hpp"
-#include "sevuldet/nn/kernels.hpp"
 #include "sevuldet/nn/layers.hpp"
 #include "sevuldet/nn/tensor.hpp"
 
@@ -50,33 +50,18 @@ struct ModelConfig {
   std::uint64_t seed = 42;
 };
 
-/// One eval-mode forward pass with its attention read-outs captured at
+/// One eval-mode scoring result with its attention read-outs captured at
 /// forward time. This is the unit the serve-daemon micro-batcher ships
 /// between threads: the model's last_*_weights() accessors are only
-/// valid until the next forward pass on that instance, so batched
-/// inference must copy them out per item (a pure read-out — scores are
-/// identical to calling predict()).
+/// valid until the next forward pass on that instance, so predict_batch
+/// copies them out per item.
 struct Prediction {
   float probability = 0.0f;
   std::vector<float> token_weights;    // α_i per input token (may be empty)
   std::vector<float> spatial_weights;  // CBAM Ms, filled only on request
 };
 
-/// Numeric precision of the eval-mode forward pass. fp32 is the exact
-/// reference (batched == per-gadget bitwise). fp16 quantizes the dense
-/// weight matrices and their input activations to binary16 before each
-/// GEMM (fp32 accumulation); int8 uses per-output-channel symmetric
-/// weight scales and per-row dynamic activation scales with int32
-/// accumulation. Both quantized modes keep the attention blocks and the
-/// final logit layer in fp32; training always runs fp32.
-enum class Precision { kFp32, kFp16, kInt8 };
-
-/// "fp32" / "fp16" / "int8".
-const char* precision_name(Precision precision);
-/// Parse "fp32" / "fp16" / "int8"; returns false on anything else.
-bool parse_precision(const std::string& text, Precision* out);
-
-/// One gadget in a predict_batch() call. `tokens` must outlive the call.
+/// One gadget to score or train on. `tokens` must outlive the call.
 /// `graph` is the gadget's PDG projection for graph backends (may stay
 /// null — sequence models ignore it, graph models fall back to a
 /// single-node graph over the whole token stream).
@@ -86,53 +71,23 @@ struct BatchItem {
   const graph::GadgetGraph* graph = nullptr;
 };
 
-/// Abstract detector.
+/// Abstract detector: one forward hook, one scoring entry point.
 class Detector {
  public:
   virtual ~Detector() = default;
 
-  /// Logit for one token-id sequence; `train` enables dropout.
-  virtual nn::NodePtr forward_logit(const std::vector<int>& tokens, bool train) = 0;
-
-  /// Logit for one batch item. Sequence models ignore item.graph (the
-  /// default delegates to forward_logit on the tokens); graph models
-  /// override to consume it. Training and evaluation go through this
-  /// seam so every backend sees the full sample.
-  virtual nn::NodePtr forward_logit_item(const BatchItem& item, bool train) {
-    return forward_logit(*item.tokens, train);
-  }
+  /// Logit row for one item: [1, 1] for binary models, [1, num_classes]
+  /// for multiclass ones. `train` enables dropout. Sequence models read
+  /// *item.tokens; graph models also consume item.graph. Training and
+  /// evaluation go through this hook so every backend sees the full
+  /// sample.
+  virtual nn::NodePtr forward_logit(const BatchItem& item, bool train) = 0;
 
   virtual const std::string& name() const = 0;
   virtual nn::ParamStore& params() = 0;
   const nn::ParamStore& params() const {
     return const_cast<Detector*>(this)->params();
   }
-
-  /// Probability of "vulnerable" (eval mode): sigmoid of the logit for
-  /// binary models, 1 - P(benign) for multiclass models.
-  float predict(const std::vector<int>& tokens);
-
-  /// True if predict() exceeds the configured threshold.
-  bool is_vulnerable(const std::vector<int>& tokens);
-
-  /// Multiclass: (argmax class id, its softmax probability). For binary
-  /// models returns ({0,1}, predict()).
-  std::pair<int, float> predict_class(const std::vector<int>& tokens);
-
-  /// predict() over a full batch item (graph-aware). For items with no
-  /// graph this is bit-identical to predict(*item.tokens).
-  float predict_item(const BatchItem& item);
-
-  /// predict() plus a copy of the attention read-outs taken immediately
-  /// after the forward pass — the unit the serve batcher ships between
-  /// threads (last_*_weights() is only valid until the instance's next
-  /// forward). `capture_spatial` additionally copies the spatial map
-  /// (explain requests only — it is the largest of the three). The
-  /// probability is bit-identical to predict(tokens).
-  Prediction predict_captured(const std::vector<int>& tokens,
-                              bool capture_spatial = false);
-  /// Same, through the graph-aware item seam.
-  Prediction predict_captured_item(const BatchItem& item);
 
   /// Attention read-outs of the last eval forward pass, used by
   /// explain/report. The base returns empty vectors (models without an
@@ -141,25 +96,18 @@ class Detector {
   virtual const std::vector<float>& last_token_weights() const;
   virtual const std::vector<float>& last_spatial_weights() const;
 
-  /// Score `count` gadgets in one call, writing one Prediction per item.
-  /// The base implementation is a loop over predict() — byte-identical
-  /// to calling predict() per item, so callers never branch on model
-  /// family. Models with a native batched engine (SeVulDetNet) override
-  /// this with length-bucketed large-GEMM inference; their fp32 output
-  /// is bitwise-identical to the loop.
+  /// Score `count` gadgets in one call, writing one Prediction per item:
+  /// the probability of "vulnerable" (sigmoid of the logit for binary
+  /// models, 1 - P(benign) for multiclass ones; a gadget is flagged
+  /// above config().threshold) plus the attention read-outs. This is the
+  /// only scoring entry point; a single gadget is a batch of one.
+  ///
+  /// The base implementation is the per-item eval loop over
+  /// forward_logit, one arena scope per item. It is the bitwise oracle:
+  /// models with a native batched engine (SeVulDetNet) override this,
+  /// and tests compare against `net.Detector::predict_batch(...)`.
   virtual void predict_batch(const BatchItem* items, std::size_t count,
                              Prediction* out);
-  /// Convenience overload.
-  std::vector<Prediction> predict_batch(const std::vector<BatchItem>& items);
-
-  /// Select the eval-mode forward precision. Implementations that
-  /// support quantized inference build their weight caches here (model
-  /// load / CLI --precision call this once, before any scoring);
-  /// others ignore everything but the bookkeeping and keep scoring in
-  /// fp32. Clones inherit the precision of the model they were cloned
-  /// from.
-  virtual void set_precision(Precision precision) { precision_ = precision; }
-  Precision precision() const { return precision_; }
 
   /// Deep copy with identical parameter values (and a fresh dropout
   /// RNG). A clone shares no mutable state with the original, so clones
@@ -171,20 +119,17 @@ class Detector {
   /// not size). 0 for models without a batched engine.
   virtual std::size_t scratch_bytes() const { return 0; }
 
-  /// GEMM problem shapes the batched forward would issue for roughly
-  /// `rows_hint` stacked rows — fed to the load-time tile autotuner.
-  /// Empty when the model has no batched GEMM path to tune.
-  virtual std::vector<nn::kernels::GemmShape> batch_gemm_shapes(int rows_hint) const {
-    (void)rows_hint;
-    return {};
-  }
-
   const ModelConfig& config() const { return config_; }
 
  protected:
   explicit Detector(ModelConfig config) : config_(std::move(config)) {}
+
+  /// The base loop's body for one item: an eval forward, the
+  /// probability, and copies of the attention read-outs. The caller owns
+  /// the arena scope.
+  void predict_one(const BatchItem& item, Prediction& out);
+
   ModelConfig config_;
-  Precision precision_ = Precision::kFp32;
 };
 
 /// Initialize an embedding-matrix parameter from pre-trained word2vec

@@ -57,11 +57,11 @@ SeVulDetNet::SeVulDetNet(ModelConfig config)
                                      std::max(1, config_.num_classes), init_rng);
 }
 
-nn::NodePtr SeVulDetNet::forward_logit(const std::vector<int>& tokens, bool train) {
+nn::NodePtr SeVulDetNet::forward_logit(const BatchItem& item, bool train) {
   // Flexible length: no truncation, no padding — the SPP layer absorbs
   // any T >= conv kernel; ultra-short inputs are padded up to the kernel.
   std::vector<int>& ids = ids_scratch_;
-  ids.assign(tokens.begin(), tokens.end());
+  ids.assign(item.tokens->begin(), item.tokens->end());
   while (static_cast<int>(ids.size()) < config_.conv_kernel) ids.push_back(0);
 
   nn::NodePtr x = nn::embedding(embedding_, ids);           // [T, E]
@@ -87,17 +87,16 @@ const std::vector<float>& SeVulDetNet::last_spatial_weights() const {
 std::unique_ptr<SeVulDetNet> SeVulDetNet::clone_net() const {
   auto copy = std::make_unique<SeVulDetNet>(config_);
   copy_parameters(store_, copy->store_);
-  copy->set_precision(precision_);  // rebuilds quant caches from the copy
   return copy;
 }
 
 // ---------------------------------------------------------------------------
 // Batched inference engine.
 //
-// The fp32 batched path must be BITWISE-identical to the per-gadget
-// autograd forward, so every stage below replicates the exact
-// floating-point chain of the corresponding nn:: op (same kernels, same
-// reduction order, same clamp sequence). Stacking S same-length gadgets
+// The batched path must be BITWISE-identical to the per-gadget autograd
+// forward, so every stage below replicates the exact floating-point
+// chain of the corresponding nn:: op (same kernels, same reduction
+// order, same clamp sequence). Stacking S same-length gadgets
 // into one [S*T, *] GEMM is safe because every GEMM row's accumulation
 // chain is independent of m and of the installed cache tiles (see the
 // determinism contract in nn/kernels.hpp).
@@ -105,17 +104,22 @@ std::unique_ptr<SeVulDetNet> SeVulDetNet::clone_net() const {
 
 namespace nk = nn::kernels;
 
-void SeVulDetNet::set_precision(Precision precision) {
-  precision_ = precision;
-  if (precision == Precision::kFp32) {
-    qconv1_ = QuantWeights{};
-    qconv2_ = QuantWeights{};
-    qfc1_ = QuantWeights{};
-    qfc2_ = QuantWeights{};
-  } else {
-    build_quant_cache();
+namespace {
+
+/// out[m,n] = relu(act[m,k] x W + bias).
+void dense_relu(int m, int k, int n, const float* act, const nn::Tensor& w,
+                const nn::Tensor& b, float* out) {
+  std::fill(out, out + static_cast<std::size_t>(m) * n, 0.0f);
+  nk::gemm(m, n, k, act, w.data(), out);
+  const float* bias = b.data();
+  for (int i = 0; i < m; ++i) {
+    float* row = out + static_cast<std::size_t>(i) * n;
+    nk::add_inplace(static_cast<std::size_t>(n), bias, row);
+    for (int j = 0; j < n; ++j) row[j] = row[j] > 0.0f ? row[j] : 0.0f;
   }
 }
+
+}  // namespace
 
 const SeVulDetNet::ParamCache& SeVulDetNet::param_cache() {
   if (!pcache_.ready) {
@@ -148,87 +152,6 @@ const SeVulDetNet::ParamCache& SeVulDetNet::param_cache() {
     pcache_.ready = true;
   }
   return pcache_;
-}
-
-void SeVulDetNet::build_quant_cache() {
-  auto build = [this](const char* name, QuantWeights& qw) {
-    const nn::Tensor& w = store_.find(name)->value;
-    const int rows = w.rows(), cols = w.cols();
-    qw.rows = rows;
-    qw.cols = cols;
-    qw.col_scale.assign(static_cast<std::size_t>(cols), 1.0f);
-    qw.q.assign(static_cast<std::size_t>(rows) * cols, 0);
-    for (int j = 0; j < cols; ++j) {
-      float amax = 0.0f;
-      for (int i = 0; i < rows; ++i) amax = std::max(amax, std::fabs(w.at(i, j)));
-      qw.col_scale[static_cast<std::size_t>(j)] = amax > 0.0f ? amax / 127.0f : 1.0f;
-    }
-    for (int i = 0; i < rows; ++i) {
-      for (int j = 0; j < cols; ++j) {
-        const float inv = 1.0f / qw.col_scale[static_cast<std::size_t>(j)];
-        long v = std::lrintf(w.at(i, j) * inv);
-        v = std::min(127L, std::max(-127L, v));
-        qw.q[static_cast<std::size_t>(i) * cols + j] = static_cast<std::int8_t>(v);
-      }
-    }
-    qw.half.resize(static_cast<std::size_t>(rows) * cols);
-    nk::float_to_half_buffer(qw.half.size(), w.data(), qw.half.data());
-  };
-  build("conv1.w", qconv1_);
-  build("conv2.w", qconv2_);
-  build("fc1.w", qfc1_);
-  build("fc2.w", qfc2_);
-}
-
-void SeVulDetNet::dense_head(int m, int k, int n, const float* act,
-                             const nn::Tensor& w, const nn::Tensor& b,
-                             const QuantWeights& qw, bool apply_relu,
-                             float* out) {
-  BatchScratch& s = scratch_;
-  if (precision_ == Precision::kInt8 && !qw.q.empty()) {
-    // Per-row dynamic activation scale; int32 accumulation is exact.
-    s.qa.resize(static_cast<std::size_t>(m) * k);
-    s.row_scale.resize(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i) {
-      const float* row = act + static_cast<std::size_t>(i) * k;
-      float amax = 0.0f;
-      for (int p = 0; p < k; ++p) amax = std::max(amax, std::fabs(row[p]));
-      const float scale = amax > 0.0f ? amax / 127.0f : 1.0f;
-      s.row_scale[static_cast<std::size_t>(i)] = scale;
-      const float inv = 1.0f / scale;
-      std::int8_t* qrow = s.qa.data() + static_cast<std::size_t>(i) * k;
-      for (int p = 0; p < k; ++p) {
-        long v = std::lrintf(row[p] * inv);
-        qrow[p] = static_cast<std::int8_t>(std::min(127L, std::max(-127L, v)));
-      }
-    }
-    s.acc.assign(static_cast<std::size_t>(m) * n, 0);
-    nk::gemm_s8(m, n, k, s.qa.data(), qw.q.data(), s.acc.data());
-    for (int i = 0; i < m; ++i) {
-      const float sa = s.row_scale[static_cast<std::size_t>(i)];
-      for (int j = 0; j < n; ++j) {
-        const std::size_t idx = static_cast<std::size_t>(i) * n + j;
-        out[idx] = static_cast<float>(s.acc[idx]) *
-                   (sa * qw.col_scale[static_cast<std::size_t>(j)]);
-      }
-    }
-  } else if (precision_ == Precision::kFp16 && !qw.half.empty()) {
-    s.ha.resize(static_cast<std::size_t>(m) * k);
-    nk::float_to_half_buffer(s.ha.size(), act, s.ha.data());
-    std::fill(out, out + static_cast<std::size_t>(m) * n, 0.0f);
-    nk::gemm_f16(m, n, k, s.ha.data(), qw.half.data(), out);
-  } else {
-    std::fill(out, out + static_cast<std::size_t>(m) * n, 0.0f);
-    nk::gemm(m, n, k, act, w.data(), out);
-  }
-  const float* bias = b.data();
-  for (int i = 0; i < m; ++i) {
-    float* row = out + static_cast<std::size_t>(i) * n;
-    nk::add_inplace(static_cast<std::size_t>(n), bias, row);
-    if (apply_relu) {
-      for (int j = 0; j < n; ++j) row[j] = row[j] > 0.0f ? row[j] : 0.0f;
-    }
-  }
 }
 
 void SeVulDetNet::forward_bucket(const BatchItem* const* items,
@@ -308,7 +231,7 @@ void SeVulDetNet::forward_bucket(const BatchItem* const* items,
     for (int sg = 0; sg < segs; ++sg) out[sg]->token_weights.clear();
   }
 
-  // conv1 = relu(im2row * W + b), quantizable.
+  // conv1 = relu(im2row * W + b).
   const int k1 = kk * e;
   s.im1.assign(static_cast<std::size_t>(rows1) * k1, 0.0f);
   for (int sg = 0; sg < segs; ++sg) {
@@ -326,10 +249,9 @@ void SeVulDetNet::forward_bucket(const BatchItem* const* items,
     }
   }
   s.f1.resize(static_cast<std::size_t>(rows1) * ch);
-  dense_head(rows1, k1, ch, s.im1.data(), *pc.conv1_w, *pc.conv1_b, qconv1_,
-             /*apply_relu=*/true, s.f1.data());
+  dense_relu(rows1, k1, ch, s.im1.data(), *pc.conv1_w, *pc.conv1_b, s.f1.data());
 
-  // CBAM (eqs. 5-8), always fp32.
+  // CBAM (eqs. 5-8).
   const float* conv2_src = s.f1.data();
   if (cbam_) {
     // Channel attention: per-segment avg/max rows -> [segs, ch] through
@@ -467,7 +389,7 @@ void SeVulDetNet::forward_bucket(const BatchItem* const* items,
     for (int sg = 0; sg < segs; ++sg) out[sg]->spatial_weights.clear();
   }
 
-  // conv2 = relu(im2row * W + b), quantizable.
+  // conv2 = relu(im2row * W + b).
   const int k2c = kk * ch;
   s.im2.assign(static_cast<std::size_t>(rows2) * k2c, 0.0f);
   for (int sg = 0; sg < segs; ++sg) {
@@ -485,8 +407,7 @@ void SeVulDetNet::forward_bucket(const BatchItem* const* items,
     }
   }
   s.f2.resize(static_cast<std::size_t>(rows2) * ch);
-  dense_head(rows2, k2c, ch, s.im2.data(), *pc.conv2_w, *pc.conv2_b, qconv2_,
-             /*apply_relu=*/true, s.f2.data());
+  dense_relu(rows2, k2c, ch, s.im2.data(), *pc.conv2_w, *pc.conv2_b, s.f2.data());
 
   // SPP per segment -> pooled [segs, spp_out] (exact spp_max clamps).
   const int spp_out = spp_total_bins(config_.spp_bins) * ch;
@@ -515,14 +436,14 @@ void SeVulDetNet::forward_bucket(const BatchItem* const* items,
     }
   }
 
-  // FC head: fc1/fc2 quantizable + ReLU (dropout is identity in eval),
-  // fc3 always fp32 (the logit layer stays exact).
+  // FC head: fc1/fc2 + ReLU (dropout is identity in eval), then the
+  // fc3 logit layer.
   s.h1.resize(static_cast<std::size_t>(segs) * config_.dense1);
-  dense_head(segs, spp_out, config_.dense1, s.pooled.data(), *pc.fc1_w,
-             *pc.fc1_b, qfc1_, /*apply_relu=*/true, s.h1.data());
+  dense_relu(segs, spp_out, config_.dense1, s.pooled.data(), *pc.fc1_w,
+             *pc.fc1_b, s.h1.data());
   s.h2.resize(static_cast<std::size_t>(segs) * config_.dense2);
-  dense_head(segs, config_.dense1, config_.dense2, s.h1.data(), *pc.fc2_w,
-             *pc.fc2_b, qfc2_, /*apply_relu=*/true, s.h2.data());
+  dense_relu(segs, config_.dense1, config_.dense2, s.h1.data(), *pc.fc2_w,
+             *pc.fc2_b, s.h2.data());
   const int numout = std::max(1, config_.num_classes);
   s.logits.assign(static_cast<std::size_t>(segs) * numout, 0.0f);
   nk::gemm(segs, numout, config_.dense2, s.h2.data(), pc.fc3_w->data(),
@@ -592,40 +513,11 @@ std::size_t SeVulDetNet::scratch_bytes() const {
   for (const std::vector<float>* v :
        {&s.x, &s.attn_u, &s.attn_scores, &s.alpha, &s.im1, &s.f1, &s.cb,
         &s.cb2, &s.im2, &s.f2, &s.ch_avg, &s.ch_max, &s.ch_mid, &s.ch_mlp,
-        &s.mc, &s.sp_in, &s.sp_im, &s.ms, &s.pooled, &s.h1, &s.h2, &s.logits,
-        &s.row_scale}) {
+        &s.mc, &s.sp_in, &s.sp_im, &s.ms, &s.pooled, &s.h1, &s.h2,
+        &s.logits}) {
     floats += v->capacity();
   }
-  return floats * sizeof(float) + s.qa.capacity() * sizeof(std::int8_t) +
-         s.acc.capacity() * sizeof(std::int32_t) +
-         s.ha.capacity() * sizeof(std::uint16_t);
-}
-
-std::vector<nn::kernels::GemmShape> SeVulDetNet::batch_gemm_shapes(
-    int rows_hint) const {
-  const int rows = std::max(32, rows_hint);
-  const int segs = std::max(1, rows / 48);  // ~typical tokens per gadget
-  const int e = config_.embed_dim;
-  const int ch = config_.conv_channels;
-  const int kk = config_.conv_kernel;
-  std::vector<nk::GemmShape> shapes;
-  if (config_.token_attention) {
-    shapes.push_back({rows, config_.attn_dim, e});
-    shapes.push_back({rows, 1, config_.attn_dim});
-  }
-  shapes.push_back({rows, ch, kk * e});
-  if (config_.multilayer_attention) {
-    const int mid = std::max(1, ch / config_.cbam_reduction);
-    shapes.push_back({segs, mid, ch});
-    shapes.push_back({segs, ch, mid});
-    shapes.push_back({rows, 1, 14});
-  }
-  shapes.push_back({rows, ch, kk * ch});
-  const int spp_out = spp_total_bins(config_.spp_bins) * ch;
-  shapes.push_back({segs, config_.dense1, spp_out});
-  shapes.push_back({segs, config_.dense2, config_.dense1});
-  shapes.push_back({segs, std::max(1, config_.num_classes), config_.dense2});
-  return shapes;
+  return floats * sizeof(float);
 }
 
 }  // namespace sevuldet::models

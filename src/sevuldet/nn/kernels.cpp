@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
-#include <mutex>
 #include <vector>
 
 #include "sevuldet/util/metrics.hpp"
@@ -38,12 +36,12 @@ typedef float vf __attribute__((vector_size(VL * sizeof(float)), aligned(4),
 constexpr int MR = 4;
 constexpr int NV = 2;
 constexpr int NR = NV * VL;
-// Default cache tiles: keep the A panel (MC*KC) and the active B panel
-// rows L2-resident for the shapes SEVulDetNet produces. At runtime the
-// installed tiles live in relaxed atomics so model load can swap in an
-// autotuned set while worker threads keep issuing GEMMs — each driver
-// call loads the three values once at entry, so a call always runs with
-// one coherent tile set (and tiles never change results, see header).
+// Cache tiles: keep the A panel (MC*KC) and the active B panel rows
+// L2-resident for the shapes SEVulDetNet produces. They live in relaxed
+// atomics only so the test hook (set_gemm_tiles) can swap them; each
+// GEMM call loads the three values once at entry, so a call always runs
+// with one coherent tile set (and tiles never change results, see
+// header).
 constexpr int kDefaultMc = 64;
 constexpr int kDefaultKc = 256;
 constexpr int kDefaultNc = 256;
@@ -360,216 +358,13 @@ void transpose_copy(int m, int n, const float* a, float* out) {
   }
 }
 
-GemmTiles default_gemm_tiles() { return {kDefaultMc, kDefaultKc, kDefaultNc}; }
-
-GemmTiles gemm_tiles() {
-  return {g_mc.load(std::memory_order_relaxed),
-          g_kc.load(std::memory_order_relaxed),
-          g_nc.load(std::memory_order_relaxed)};
-}
-
 void set_gemm_tiles(const GemmTiles& tiles) {
   g_mc.store(std::max(1, tiles.mc), std::memory_order_relaxed);
   g_kc.store(std::max(1, tiles.kc), std::memory_order_relaxed);
   g_nc.store(std::max(1, tiles.nc), std::memory_order_relaxed);
 }
 
-void reset_gemm_tiles() { set_gemm_tiles(default_gemm_tiles()); }
-
-namespace {
-
-// Candidate tile sets for the load-time autotuner. The compiled-in
-// default is always a candidate, so tuning can never pick something
-// slower than "no tuning" (modulo timing noise, which the bench gate
-// budgets for). The others trade A-panel height against B-panel width
-// around the L1/L2 sizes common on the deployment fleet.
-constexpr GemmTiles kTileCandidates[] = {
-    {kDefaultMc, kDefaultKc, kDefaultNc},
-    {32, 256, 512},
-    {128, 128, 256},
-    {48, 384, 192},
-    {96, 192, 320},
-};
-
-double time_shapes_once(const std::vector<GemmShape>& shapes,
-                        const std::vector<float>& a, const std::vector<float>& b,
-                        std::vector<float>& c) {
-  const auto start = std::chrono::steady_clock::now();
-  for (const GemmShape& s : shapes) {
-    gemm(s.m, s.n, s.k, a.data(), b.data(), c.data());
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
-
-GemmTiles autotune_gemm_tiles(const std::vector<GemmShape>& shapes) {
-  std::size_t max_a = 1, max_b = 1, max_c = 1;
-  std::vector<GemmShape> valid;
-  for (const GemmShape& s : shapes) {
-    if (s.m <= 0 || s.n <= 0 || s.k <= 0) continue;
-    valid.push_back(s);
-    max_a = std::max(max_a, static_cast<std::size_t>(s.m) * s.k);
-    max_b = std::max(max_b, static_cast<std::size_t>(s.k) * s.n);
-    max_c = std::max(max_c, static_cast<std::size_t>(s.m) * s.n);
-  }
-  if (valid.empty()) return gemm_tiles();
-  // Deterministic non-trivial operands; the timing, not the numbers,
-  // decides (tiles are result-invariant, so the values don't matter).
-  std::vector<float> a(max_a), b(max_b), c(max_c, 0.0f);
-  for (std::size_t i = 0; i < max_a; ++i) a[i] = 1.0f + 0.001f * (i % 97);
-  for (std::size_t i = 0; i < max_b; ++i) b[i] = 0.5f - 0.002f * (i % 89);
-
-  const GemmTiles previous = gemm_tiles();
-  GemmTiles best = previous;
-  double best_seconds = -1.0;
-  for (const GemmTiles& candidate : kTileCandidates) {
-    set_gemm_tiles(candidate);
-    time_shapes_once(valid, a, b, c);  // warm caches + page in buffers
-    double seconds = time_shapes_once(valid, a, b, c);
-    seconds = std::min(seconds, time_shapes_once(valid, a, b, c));
-    seconds = std::min(seconds, time_shapes_once(valid, a, b, c));
-    if (best_seconds < 0.0 || seconds < best_seconds) {
-      best_seconds = seconds;
-      best = candidate;
-    }
-  }
-  set_gemm_tiles(previous);
-  return best;
-}
-
-void autotune_gemm_for_shapes(const std::vector<GemmShape>& shapes) {
-  static std::once_flag tuned;
-  std::call_once(tuned, [&shapes] {
-    const GemmTiles best = autotune_gemm_tiles(shapes);
-    set_gemm_tiles(best);
-    util::metrics::counter_add("nn.gemm_autotune_runs");
-    util::metrics::gauge_set("nn.gemm_tiles.mc", best.mc);
-    util::metrics::gauge_set("nn.gemm_tiles.kc", best.kc);
-    util::metrics::gauge_set("nn.gemm_tiles.nc", best.nc);
-  });
-}
-
-void gemm_s8(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
-             std::int32_t* c) {
-  util::metrics::counter_add("nn.gemm_calls");
-  util::metrics::counter_add("nn.gemm_flops", 2LL * m * n * k);
-  // i-p-j with widening loads: the inner loop is a unit-stride
-  // int8 -> int32 multiply-accumulate the vectorizer handles, and the
-  // order matches the naive oracle (moot for integers — exact anyway).
-  for (int i = 0; i < m; ++i) {
-    const std::int8_t* __restrict__ arow = a + static_cast<std::ptrdiff_t>(i) * k;
-    std::int32_t* __restrict__ crow = c + static_cast<std::ptrdiff_t>(i) * n;
-    for (int p = 0; p < k; ++p) {
-      const std::int32_t av = arow[p];
-      const std::int8_t* __restrict__ brow =
-          b + static_cast<std::ptrdiff_t>(p) * n;
-      for (int j = 0; j < n; ++j) {
-        crow[j] += av * static_cast<std::int32_t>(brow[j]);
-      }
-    }
-  }
-}
-
-void gemm_s8_naive(int m, int n, int k, const std::int8_t* a,
-                   const std::int8_t* b, std::int32_t* c) {
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      std::int32_t acc = 0;
-      for (int p = 0; p < k; ++p) {
-        acc += static_cast<std::int32_t>(a[static_cast<std::ptrdiff_t>(i) * k + p]) *
-               static_cast<std::int32_t>(b[static_cast<std::ptrdiff_t>(p) * n + j]);
-      }
-      c[static_cast<std::ptrdiff_t>(i) * n + j] += acc;
-    }
-  }
-}
-
-std::uint16_t float_to_half(float value) {
-  std::uint32_t f;
-  std::memcpy(&f, &value, sizeof(f));
-  const auto sign = static_cast<std::uint16_t>((f >> 16) & 0x8000u);
-  f &= 0x7fffffffu;
-  if (f >= 0x7f800000u) {  // Inf / NaN: keep class, truncate payload, stay quiet
-    const std::uint32_t payload =
-        f > 0x7f800000u ? (0x0200u | ((f >> 13) & 0x03ffu)) : 0u;
-    return static_cast<std::uint16_t>(sign | 0x7c00u | payload);
-  }
-  const int exp = static_cast<int>(f >> 23) - 127;
-  if (exp > 15) return static_cast<std::uint16_t>(sign | 0x7c00u);  // overflow
-  if (f < 0x00800000u) return sign;  // float subnormal: far below half range
-  const std::uint32_t mant = (f & 0x007fffffu) | 0x00800000u;  // implicit bit
-  // Align the 24-bit significand to the half's 11-bit frame (shift grows
-  // for subnormal halves) and round once, to nearest even. Reassembling
-  // exponent and mantissa by ADDITION lets a rounding carry ripple into
-  // the exponent — including 65520 -> Inf.
-  const bool normal = exp >= -14;
-  const int shift = normal ? 13 : 13 + (-14 - exp);
-  if (shift >= 32) return sign;
-  std::uint32_t rounded = mant >> shift;
-  const std::uint32_t rem = mant & ((1u << shift) - 1u);
-  const std::uint32_t halfway = 1u << (shift - 1);
-  if (rem > halfway || (rem == halfway && (rounded & 1u))) ++rounded;
-  const std::uint32_t bits =
-      normal ? ((static_cast<std::uint32_t>(exp + 14) << 10) + rounded)
-             : rounded;
-  return static_cast<std::uint16_t>(sign | bits);
-}
-
-float half_to_float(std::uint16_t half) {
-  const std::uint32_t sign = static_cast<std::uint32_t>(half & 0x8000u) << 16;
-  std::uint32_t exp = (half >> 10) & 0x1fu;
-  std::uint32_t mant = half & 0x03ffu;
-  std::uint32_t bits;
-  if (exp == 0x1fu) {
-    bits = sign | 0x7f800000u | (mant << 13);
-  } else if (exp != 0) {
-    bits = sign | ((exp + 112u) << 23) | (mant << 13);
-  } else if (mant == 0) {
-    bits = sign;
-  } else {  // subnormal: renormalize into the float frame
-    std::uint32_t shift = 0;
-    while ((mant & 0x0400u) == 0) {
-      mant <<= 1;
-      ++shift;
-    }
-    bits = sign | ((113u - shift) << 23) | ((mant & 0x03ffu) << 13);
-  }
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
-
-void float_to_half_buffer(std::size_t n, const float* src, std::uint16_t* dst) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = float_to_half(src[i]);
-}
-
-void half_to_float_buffer(std::size_t n, const std::uint16_t* src, float* dst) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = half_to_float(src[i]);
-}
-
-void gemm_f16(int m, int n, int k, const std::uint16_t* a,
-              const std::uint16_t* b, float* c) {
-  // Widen once into recycled scratch, then reuse the blocked fp32 GEMM:
-  // fastest available reduction, and the chain over the widened values
-  // is exactly the fp32 contract (so f16 == f16_naive bitwise).
-  static thread_local std::vector<float> wa, wb;
-  wa.resize(static_cast<std::size_t>(m) * k);
-  wb.resize(static_cast<std::size_t>(k) * n);
-  half_to_float_buffer(wa.size(), a, wa.data());
-  half_to_float_buffer(wb.size(), b, wb.data());
-  gemm(m, n, k, wa.data(), wb.data(), c);
-}
-
-void gemm_f16_naive(int m, int n, int k, const std::uint16_t* a,
-                    const std::uint16_t* b, float* c) {
-  std::vector<float> wa(static_cast<std::size_t>(m) * k);
-  std::vector<float> wb(static_cast<std::size_t>(k) * n);
-  half_to_float_buffer(wa.size(), a, wa.data());
-  half_to_float_buffer(wb.size(), b, wb.data());
-  gemm_naive(m, n, k, wa.data(), wb.data(), c);
-}
+void reset_gemm_tiles() { set_gemm_tiles({kDefaultMc, kDefaultKc, kDefaultNc}); }
 
 void transpose_add(int m, int n, const float* a, float* out) {
   for (int i0 = 0; i0 < m; i0 += TS) {

@@ -20,51 +20,27 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace sevuldet::nn::kernels {
 
 // --- cache-tile configuration ---------------------------------------------
-// The fp32 GEMM drivers block the iteration space with MC/KC/NC cache
-// tiles. Tile sizes NEVER change results: blocking reloads the partial C
-// tile instead of re-associating, so every output element's accumulation
-// chain is the naive reference's regardless of the installed tiles
-// (kernels_test pins this bitwise across several tile configurations).
-// That result-invariance is what makes runtime autotuning safe.
+// The fp32 GEMM routines block the iteration space with compiled-in
+// MC/KC/NC cache tiles. Tile sizes NEVER change results: blocking reloads
+// the partial C tile instead of re-associating, so every output element's
+// accumulation chain is the naive reference's regardless of the tiles
+// (kernels_test pins this bitwise across several tile configurations
+// through the hook below).
 struct GemmTiles {
   int mc = 0;
   int kc = 0;
   int nc = 0;
 };
 
-/// Compiled-in default tiles (the pre-autotune configuration).
-GemmTiles default_gemm_tiles();
-/// Tiles currently installed for this process.
-GemmTiles gemm_tiles();
-/// Install new tiles (values clamped to >= 1). Safe to call while other
-/// threads run GEMMs: each call reads the tile set once at entry.
+/// Test hook: install other tiles (values clamped to >= 1). Each GEMM
+/// call reads the tile set once at entry.
 void set_gemm_tiles(const GemmTiles& tiles);
-/// Restore the compiled-in defaults.
+/// Restore the compiled-in tiles.
 void reset_gemm_tiles();
-
-/// One GEMM problem shape, as seen by the autotuner.
-struct GemmShape {
-  int m = 0;
-  int n = 0;
-  int k = 0;
-};
-
-/// Benchmark a small fixed candidate set of cache tiles over `shapes`
-/// (the model's actual layer shapes) and return the fastest. Pure: does
-/// not install the result. Deterministic inputs; wall-clock choice only.
-GemmTiles autotune_gemm_tiles(const std::vector<GemmShape>& shapes);
-
-/// Autotune once per process and install the winner; later calls are
-/// no-ops (model load is the intended call site — the bucketed batch
-/// shapes are known there, and test binaries that load many models pay
-/// the tuning cost a single time).
-void autotune_gemm_for_shapes(const std::vector<GemmShape>& shapes);
 
 // --- GEMM family (all accumulate into C) ----------------------------------
 /// C[m,n] += A[m,k] * B[k,n]; row-major, leading dims = logical widths.
@@ -82,39 +58,6 @@ void gemm_at_b_naive(int m, int n, int k, const float* a, const float* b,
                      float* c);
 void gemm_a_bt_naive(int m, int n, int k, const float* a, const float* b,
                      float* c);
-
-// --- quantized GEMMs -------------------------------------------------------
-// int8 x int8 -> int32 accumulate. Integer arithmetic is exact, so the
-// optimized kernel equals the naive oracle for every input (no rounding
-// contract to manage — kernels_test asserts exact equality anyway).
-/// C[m,n] += A[m,k] * B[k,n], both operands int8, 32-bit accumulators.
-void gemm_s8(int m, int n, int k, const std::int8_t* a, const std::int8_t* b,
-             std::int32_t* c);
-void gemm_s8_naive(int m, int n, int k, const std::int8_t* a,
-                   const std::int8_t* b, std::int32_t* c);
-
-// --- IEEE 754 binary16 helpers ---------------------------------------------
-// fp16 here is a STORAGE format: operands are quantized to the half
-// grid (round-to-nearest-even), then widened back to fp32 for the
-// accumulation. That bounds the precision loss to the operand rounding
-// while keeping the fp32 determinism contract for the reduction chain.
-/// Round-to-nearest-even float -> binary16 (Inf/NaN preserved, NaN
-/// payload truncated but kept quiet).
-std::uint16_t float_to_half(float value);
-/// Exact binary16 -> float widening (every half is representable).
-float half_to_float(std::uint16_t half);
-/// dst[i] = float_to_half(src[i])
-void float_to_half_buffer(std::size_t n, const float* src, std::uint16_t* dst);
-/// dst[i] = half_to_float(src[i])
-void half_to_float_buffer(std::size_t n, const std::uint16_t* src, float* dst);
-
-/// C[m,n] += widen(A[m,k]) * widen(B[k,n]) with fp32 accumulation —
-/// same chain as `gemm` over the widened operands (the optimized path
-/// widens once into scratch and reuses the blocked fp32 kernel).
-void gemm_f16(int m, int n, int k, const std::uint16_t* a,
-              const std::uint16_t* b, float* c);
-void gemm_f16_naive(int m, int n, int k, const std::uint16_t* a,
-                    const std::uint16_t* b, float* c);
 
 // --- level-1 helpers -------------------------------------------------------
 /// y[i] += alpha * x[i]

@@ -1,52 +1,9 @@
 #include "sevuldet/nn/serialize.hpp"
 
-#include <fstream>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace sevuldet::nn {
-
-std::string serialize_params(const ParamStore& store) {
-  std::ostringstream out;
-  out.precision(std::numeric_limits<float>::max_digits10);
-  for (const auto& [name, node] : store.all()) {
-    out << name << ' ' << node->value.rows() << ' ' << node->value.cols() << '\n';
-    for (std::size_t i = 0; i < node->value.size(); ++i) {
-      if (i > 0) out << ' ';
-      out << node->value[i];
-    }
-    out << '\n';
-  }
-  return out.str();
-}
-
-void deserialize_params(ParamStore& store, const std::string& text) {
-  std::istringstream in(text);
-  std::string name;
-  int rows = 0, cols = 0;
-  std::size_t loaded = 0;
-  while (in >> name >> rows >> cols) {
-    NodePtr node = store.find(name);
-    if (node == nullptr) {
-      throw std::runtime_error("deserialize: unknown parameter " + name);
-    }
-    if (node->value.rows() != rows || node->value.cols() != cols) {
-      throw std::runtime_error("deserialize: shape mismatch for " + name);
-    }
-    for (std::size_t i = 0; i < node->value.size(); ++i) {
-      if (!(in >> node->value[i])) {
-        throw std::runtime_error("deserialize: truncated data for " + name);
-      }
-    }
-    ++loaded;
-  }
-  if (loaded != store.all().size()) {
-    throw std::runtime_error("deserialize: expected " +
-                             std::to_string(store.all().size()) +
-                             " parameters, got " + std::to_string(loaded));
-  }
-}
 
 void serialize_params_binary(const ParamStore& store, util::ByteWriter& out) {
   out.u32(static_cast<std::uint32_t>(store.all().size()));
@@ -78,20 +35,6 @@ void deserialize_params_binary(ParamStore& store, util::ByteReader& in) {
     }
     in.f32_array(node->value.data(), node->value.size());
   }
-}
-
-void save_params(const ParamStore& store, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for write: " + path);
-  out << serialize_params(store);
-}
-
-void load_params(ParamStore& store, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open for read: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  deserialize_params(store, buf.str());
 }
 
 }  // namespace sevuldet::nn

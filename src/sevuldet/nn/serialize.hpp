@@ -1,36 +1,19 @@
-// Model parameter serialization. Two formats:
-//  - text: a simple self-describing format ("name rows cols\n" followed
-//    by whitespace-separated floats printed at max_digits10), kept for
-//    readability and v1 model-file back-compat;
-//  - binary: length-prefixed names and raw little-endian f32 payloads via
-//    util::ByteWriter/ByteReader — the fast path the v2 model format and
-//    the compiled-corpus subsystem use.
-// Both round-trip bit-faithfully.
+// Model parameter serialization: length-prefixed names and raw
+// little-endian f32 payloads via util::ByteWriter/ByteReader — the
+// parameter section of v2/v3 model files. It round-trips bit-faithfully.
 #pragma once
-
-#include <string>
 
 #include "sevuldet/nn/layers.hpp"
 #include "sevuldet/util/binary_io.hpp"
 
 namespace sevuldet::nn {
 
-std::string serialize_params(const ParamStore& store);
-
-/// Load values into an existing store (shapes must match by name).
-/// Throws std::runtime_error on missing names or shape mismatches.
-void deserialize_params(ParamStore& store, const std::string& text);
-
-/// Binary fast path: param count, then per parameter a length-prefixed
-/// name, u32 rows/cols, and the raw f32 values.
+/// Param count, then per parameter a length-prefixed name, u32
+/// rows/cols, and the raw f32 values.
 void serialize_params_binary(const ParamStore& store, util::ByteWriter& out);
 
 /// Reads what serialize_params_binary wrote. Throws std::runtime_error on
 /// unknown names, shape mismatches, missing parameters, or truncation.
 void deserialize_params_binary(ParamStore& store, util::ByteReader& in);
-
-/// File helpers.
-void save_params(const ParamStore& store, const std::string& path);
-void load_params(ParamStore& store, const std::string& path);
 
 }  // namespace sevuldet::nn

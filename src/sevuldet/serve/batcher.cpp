@@ -131,8 +131,8 @@ void MicroBatcher::run_batch(std::vector<Entry*>& batch) {
   // parallel_chunks gives each ThreadPool worker a contiguous slice and
   // its own clone; a pool of size 1 runs inline on this thread. Each
   // chunk is scored with one length-bucketed predict_batch call —
-  // bitwise-identical to the old per-entry predict_captured loop at
-  // fp32. If the batched call throws (e.g. an out-of-range token id),
+  // bitwise-identical to the base class's per-item loop. If the batched
+  // call throws (e.g. an out-of-range token id),
   // the chunk is rescored one entry at a time so a bad gadget only
   // fails its own entry, exactly as before.
   auto score_range = [&](models::Detector& model, std::size_t begin,

@@ -11,8 +11,8 @@
 //
 // Eval-mode forward passes are deterministic and per-gadget independent,
 // so batched scores (and the captured attention weights) are identical
-// to calling predict_captured() inline — serve_test asserts this
-// bitwise. Batching buys throughput, not different numbers: the clones
+// to scoring each gadget inline with Detector::predict_batch — serve_test
+// asserts this bitwise. Batching buys throughput, not different numbers: the clones
 // and their arenas are built once, and a burst of R requests × G gadgets
 // costs one warm arena pass per gadget instead of R model-sized cache
 // refills interleaved at request granularity.

@@ -26,26 +26,17 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Apply the serve precision to the model before MicroBatcher clones it
-/// (member-init order: the batcher is constructed right after options_).
-models::Detector& with_precision(models::Detector& model,
-                                 models::Precision precision) {
-  if (model.precision() != precision) model.set_precision(precision);
-  return model;
-}
-
 }  // namespace
 
 Server::Server(core::SeVulDet& detector, ServeOptions options)
     : detector_(detector),
       options_(std::move(options)),
-      batcher_(with_precision(detector.model(), options_.precision),
+      batcher_(detector.model(),
                BatcherOptions{std::max(1, options_.max_batch),
                               std::max(0.0, options_.batch_window_ms),
                               std::max(1, options_.threads)}) {
   options_.threads = std::max(1, options_.threads);
   options_.queue_depth = std::max(1, options_.queue_depth);
-  precision_name_ = models::precision_name(options_.precision);
   backend_name_ = detector_.model().name();
   if (options_.telemetry) {
     ring_ = std::make_unique<telemetry::SampleRing>(
@@ -177,7 +168,6 @@ Response Server::process(Job& job) {
       const auto infer_start = std::chrono::steady_clock::now();
       core::ScanOptions scan_options;
       scan_options.detect.top_k = job.request.top_k;
-      scan_options.detect.precision = options_.precision;
       scan_options.threads = options_.threads;
       core::TreeScanResult tree =
           core::scan_tree(detector_, job.request.root, scan_options);
@@ -461,7 +451,6 @@ void Server::finish_request(const char* op_label, const Response& response,
   record.infer_ms = timing.infer_ms;
   record.total_ms = total_ms;
   record.batch_size = timing.batch_size;
-  record.precision = precision_name_;
   record.backend = backend_name_;
   if (response.error.has_value()) {
     record.error = error_code_name(response.error->code);

@@ -150,8 +150,6 @@ std::string access_record_to_json(const AccessRecord& record) {
   json::append_number(out, record.total_ms);
   out += ",\"batch_size\":";
   json::append_number(out, record.batch_size);
-  out += ",\"precision\":";
-  json::append_string(out, record.precision);
   out += ",\"backend\":";
   json::append_string(out, record.backend);
   out += ",\"error\":";

@@ -1,24 +1,22 @@
 // The length-bucketed batched inference engine's load-bearing contract:
-// at fp32, SeVulDetNet::predict_batch is BITWISE identical to the
-// per-gadget predict_captured loop — across bucket boundaries, odd
-// batch sizes, every attention ablation, multiclass heads, and the
+// SeVulDetNet::predict_batch is BITWISE identical to the base class's
+// per-item loop (Detector::predict_batch) — across bucket boundaries,
+// odd batch sizes, every attention ablation, multiclass heads, and the
 // explain capture (attention read-outs travel with the scores). Models
-// without a native batched engine fall back to the base-class loop,
-// which must be byte-identical to repeated predict(). Daemon-level
+// without a native batched engine run the base loop itself, which must
+// score a batch exactly like one gadget at a time. Daemon-level
 // byte-identity (client bytes vs in-process detect) is pinned in
 // serve_test.cpp — the daemon scores through this same engine.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "sevuldet/models/birnn_net.hpp"
 #include "sevuldet/models/sevuldet_net.hpp"
-#include "sevuldet/nn/autograd.hpp"
 
 namespace sm = sevuldet::models;
-namespace nn = sevuldet::nn;
 
 namespace {
 
@@ -52,18 +50,23 @@ bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
-/// Per-gadget reference: the exact loop the pipeline ran before the
-/// batched engine existed (arena-scoped predict_captured per gadget).
+/// Score every item in one predict_batch call.
+std::vector<sm::Prediction> score(sm::Detector& net,
+                                  const std::vector<sm::BatchItem>& items) {
+  std::vector<sm::Prediction> out(items.size());
+  net.predict_batch(items.data(), items.size(), out.data());
+  return out;
+}
+
+/// Per-gadget reference: the base class's arena-scoped eval loop, the
+/// exact path the pipeline ran before the batched engine existed.
 std::vector<sm::Prediction> reference_predictions(
     sm::SeVulDetNet& net, const std::vector<std::vector<int>>& gadgets,
     bool capture_spatial = false) {
-  std::vector<sm::Prediction> out;
-  out.reserve(gadgets.size());
-  nn::Graph graph;
-  for (const auto& ids : gadgets) {
-    nn::GraphScope scope(graph);
-    out.push_back(net.predict_captured(ids, capture_spatial));
-  }
+  std::vector<sm::BatchItem> items;
+  for (const auto& ids : gadgets) items.push_back({&ids, capture_spatial});
+  std::vector<sm::Prediction> out(items.size());
+  net.Detector::predict_batch(items.data(), items.size(), out.data());
   return out;
 }
 
@@ -107,7 +110,7 @@ sm::ModelConfig small_config() {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// fp32 batched == per-gadget, bitwise
+// batched == per-gadget, bitwise
 // ---------------------------------------------------------------------------
 
 TEST(BatchTest, BatchedMatchesPerGadgetBitwise) {
@@ -159,7 +162,7 @@ TEST(BatchTest, ExplainCaptureIdenticalUnderBatching) {
   for (std::size_t i = 0; i < gadgets.size(); ++i) {
     items.push_back({&gadgets[i], i % 2 == 0});
   }
-  const auto batched = net.predict_batch(items);
+  const auto batched = score(net, items);
   const auto expected = reference_predictions(net, gadgets, true);
   for (std::size_t i = 0; i < gadgets.size(); ++i) {
     if (i % 2 == 0) {
@@ -180,8 +183,8 @@ TEST(BatchTest, RepeatedCallsReuseScratchAndStayIdentical) {
   const auto gadgets = make_gadgets(21, net.config().vocab_size);
   std::vector<sm::BatchItem> items;
   for (const auto& ids : gadgets) items.push_back({&ids, false});
-  const auto first = net.predict_batch(items);
-  const auto second = net.predict_batch(items);
+  const auto first = score(net, items);
+  const auto second = score(net, items);
   for (std::size_t i = 0; i < gadgets.size(); ++i) {
     EXPECT_TRUE(bits_equal(first[i].probability, second[i].probability));
     EXPECT_TRUE(bits_equal(first[i].token_weights, second[i].token_weights));
@@ -200,61 +203,26 @@ TEST(BatchTest, BiRnnFallbackMatchesRepeatedPredict) {
   const auto gadgets = make_gadgets(15, config.vocab_size);
   std::vector<sm::BatchItem> items;
   for (const auto& ids : gadgets) items.push_back({&ids, false});
-  const auto batched = net->predict_batch(items);
+  const auto batched = score(*net, items);
   for (std::size_t i = 0; i < gadgets.size(); ++i) {
-    EXPECT_TRUE(bits_equal(batched[i].probability, net->predict(gadgets[i])))
+    sm::Prediction single;
+    net->predict_batch(&items[i], 1, &single);
+    EXPECT_TRUE(bits_equal(batched[i].probability, single.probability))
         << "BiRnn fallback diverges at gadget " << i;
     EXPECT_TRUE(batched[i].token_weights.empty());
   }
 }
 
-// ---------------------------------------------------------------------------
-// quantized paths
-// ---------------------------------------------------------------------------
-
-TEST(BatchTest, QuantizedScoresStayProbabilitiesNearFp32) {
-  // fp16/int8 are accuracy trade-offs, not exactness contracts: scores
-  // must stay valid probabilities and track fp32 closely at these
-  // shapes (the CI quality gate bounds the corpus-level F1/AUC drift).
+TEST(BatchTest, ClonesScoreIdentically) {
+  // The serve daemon scores on per-worker clones: a clone must produce
+  // the same bytes as the model it was cloned from.
   sm::SeVulDetNet net(small_config());
-  const auto gadgets = make_gadgets(17, net.config().vocab_size);
-  std::vector<sm::BatchItem> items;
-  for (const auto& ids : gadgets) items.push_back({&ids, false});
-  const auto fp32 = net.predict_batch(items);
-  for (const sm::Precision precision :
-       {sm::Precision::kFp16, sm::Precision::kInt8}) {
-    net.set_precision(precision);
-    const auto quant = net.predict_batch(items);
-    for (std::size_t i = 0; i < gadgets.size(); ++i) {
-      ASSERT_TRUE(std::isfinite(quant[i].probability));
-      EXPECT_GE(quant[i].probability, 0.0f);
-      EXPECT_LE(quant[i].probability, 1.0f);
-      EXPECT_NEAR(quant[i].probability, fp32[i].probability, 0.15f)
-          << sm::precision_name(precision) << " gadget " << i;
-      // Attention runs fp32 in every mode — read-outs stay bitwise.
-      EXPECT_TRUE(bits_equal(quant[i].token_weights, fp32[i].token_weights));
-    }
-  }
-  // Dropping back to fp32 restores exactness (quant caches are opt-in).
-  net.set_precision(sm::Precision::kFp32);
-  const auto back = net.predict_batch(items);
-  for (std::size_t i = 0; i < gadgets.size(); ++i) {
-    EXPECT_TRUE(bits_equal(back[i].probability, fp32[i].probability));
-  }
-}
-
-TEST(BatchTest, ClonesInheritPrecisionAndScoreIdentically) {
-  // The serve daemon scores on per-worker clones: a clone must carry
-  // the parent's precision and produce the same bytes.
-  sm::SeVulDetNet net(small_config());
-  net.set_precision(sm::Precision::kInt8);
   const auto clone = net.clone_net();
-  EXPECT_EQ(clone->precision(), sm::Precision::kInt8);
   const auto gadgets = make_gadgets(7, net.config().vocab_size);
   std::vector<sm::BatchItem> items;
   for (const auto& ids : gadgets) items.push_back({&ids, false});
-  const auto a = net.predict_batch(items);
-  const auto b = clone->predict_batch(items);
+  const auto a = score(net, items);
+  const auto b = score(*clone, items);
   for (std::size_t i = 0; i < gadgets.size(); ++i) {
     EXPECT_TRUE(bits_equal(a[i].probability, b[i].probability));
   }

@@ -51,6 +51,13 @@ sg::GadgetGraph two_node_graph() {
   return graph;
 }
 
+/// Probability of one item through the scoring entry point.
+float probability(sm::Detector& net, const sm::BatchItem& item) {
+  sm::Prediction out;
+  net.predict_batch(&item, 1, &out);
+  return out.probability;
+}
+
 std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
   util::Rng rng(seed);
   std::vector<float> out(n);
@@ -150,17 +157,20 @@ TEST(Registry, KnowsBothBackendsAndRejectsUnknown) {
 
 TEST(GatNet, HandlesEmptySingleTokenAndGraphlessInput) {
   sm::GatNet net(tiny_gat_config());
-  const float empty = net.predict({});
-  const float single = net.predict({5});
+  const std::vector<int> no_tokens;
+  const std::vector<int> one_token = {5};
+  const float empty = probability(net, {&no_tokens});
+  const float single = probability(net, {&one_token});
   EXPECT_TRUE(std::isfinite(empty));
   EXPECT_GT(empty, 0.0f);
   EXPECT_LT(empty, 1.0f);
   EXPECT_TRUE(std::isfinite(single));
 
-  // A graph-less item goes through the exact token-only path.
+  // A null graph and an empty graph both take the exact token-only path.
   const std::vector<int> tokens = {2, 9, 4, 7};
-  const sm::BatchItem item{&tokens, false, nullptr};
-  EXPECT_EQ(net.predict_item(item), net.predict(tokens));
+  const sg::GadgetGraph empty_graph;
+  EXPECT_EQ(probability(net, {&tokens, false, &empty_graph}),
+            probability(net, {&tokens, false, nullptr}));
 }
 
 TEST(GatNet, AcceptsStoredSelfLoopEdges) {
@@ -172,7 +182,7 @@ TEST(GatNet, AcceptsStoredSelfLoopEdges) {
   sg::GadgetGraph graph = two_node_graph();
   graph.edges = {{0, 0, sg::GadgetEdgeType::kData},
                  {0, 1, sg::GadgetEdgeType::kControl}};
-  const float p = net.predict_item({&tokens, false, &graph});
+  const float p = probability(net, {&tokens, false, &graph});
   EXPECT_TRUE(std::isfinite(p));
   EXPECT_GT(p, 0.0f);
   EXPECT_LT(p, 1.0f);
@@ -182,14 +192,17 @@ TEST(GatNet, InconsistentGraphFallsBackToTokenPath) {
   sm::GatNet net(tiny_gat_config());
   const std::vector<int> tokens = {1, 2, 3, 4, 5, 6, 7};
   sg::GadgetGraph graph = two_node_graph();  // spans 5 tokens, not 7
-  EXPECT_EQ(net.predict_item({&tokens, false, &graph}), net.predict(tokens));
+  EXPECT_EQ(probability(net, {&tokens, false, &graph}),
+            probability(net, {&tokens, false, nullptr}));
 }
 
 TEST(GatNet, TokenWeightsExpandNodeAttention) {
   sm::GatNet net(tiny_gat_config());
   const std::vector<int> tokens = {1, 2, 3, 4, 5};
   const sg::GadgetGraph graph = two_node_graph();
-  sm::Prediction prediction = net.predict_captured_item({&tokens, false, &graph});
+  const sm::BatchItem item{&tokens, false, &graph};
+  sm::Prediction prediction;
+  net.predict_batch(&item, 1, &prediction);
   ASSERT_EQ(prediction.token_weights.size(), tokens.size());
   // Every token of a node carries the node's α...
   EXPECT_EQ(prediction.token_weights[0], prediction.token_weights[1]);
@@ -209,8 +222,8 @@ TEST(GatNet, GraphStructureChangesTheScore) {
   sm::GatNet net(tiny_gat_config());
   const std::vector<int> tokens = {1, 2, 3, 4, 5};
   const sg::GadgetGraph graph = two_node_graph();
-  const float with_graph = net.predict_item({&tokens, false, &graph});
-  const float token_only = net.predict(tokens);
+  const float with_graph = probability(net, {&tokens, false, &graph});
+  const float token_only = probability(net, {&tokens, false, nullptr});
   EXPECT_NE(with_graph, token_only);
 }
 
@@ -232,14 +245,17 @@ TEST(GatNet, PredictBatchBitwiseEqualsPerItemLoop) {
     items.push_back({&streams[i], false, i % 2 == 0 ? &graph : nullptr});
   }
 
-  std::vector<sm::Prediction> batched = net.predict_batch(items);
+  std::vector<sm::Prediction> batched(items.size());
+  net.predict_batch(items.data(), items.size(), batched.data());
 
-  // Reference loop on an identical clone (predict_batch mutates the
+  // Base-class loop on an identical clone (predict_batch mutates the
   // net's read-out state, so the reference needs its own instance).
   std::unique_ptr<sm::Detector> reference = net.clone();
-  ASSERT_EQ(batched.size(), items.size());
+  std::vector<sm::Prediction> reference_out(items.size());
+  reference->Detector::predict_batch(items.data(), items.size(),
+                                     reference_out.data());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    sm::Prediction expected = reference->predict_captured_item(items[i]);
+    const sm::Prediction& expected = reference_out[i];
     EXPECT_EQ(batched[i].probability, expected.probability) << i;
     ASSERT_EQ(batched[i].token_weights.size(), expected.token_weights.size())
         << i;
@@ -266,7 +282,7 @@ TEST(GatNet, ClonesScoreIdenticallyAndIndependentlyUnderThreadPool) {
 
   std::vector<float> serial(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    serial[i] = net.predict_item(items[i]);
+    serial[i] = probability(net, items[i]);
   }
 
   util::ThreadPool pool(4);
@@ -276,8 +292,8 @@ TEST(GatNet, ClonesScoreIdenticallyAndIndependentlyUnderThreadPool) {
   pool.parallel_chunks(items.size(), [&](int worker, std::size_t begin,
                                          std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      parallel[i] = clones[static_cast<std::size_t>(worker)]->predict_item(
-          items[i]);
+      parallel[i] =
+          probability(*clones[static_cast<std::size_t>(worker)], items[i]);
     }
   });
   for (std::size_t i = 0; i < items.size(); ++i) {
@@ -344,7 +360,8 @@ TEST(GatPipeline, TrainsSavesV3AndReloadsIdentically) {
   EXPECT_EQ(restored.model().name(), "SEVulDet(GAT)");
 
   std::vector<int> probe = {2, 3, 4, 5, 6, 7, 8};
-  EXPECT_EQ(detector.predict(probe), restored.predict(probe));
+  EXPECT_EQ(probability(detector.model(), {&probe}),
+            probability(restored.model(), {&probe}));
 
   // Full detection parity on a vulnerable training program.
   for (const auto& tc : cases) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <string_view>
 
 #include "sevuldet/nn/layers.hpp"
 #include "sevuldet/nn/optim.hpp"
@@ -263,16 +266,21 @@ TEST(Serialize, RoundTrip) {
   nn::ParamStore store;
   su::Rng rng(14);
   nn::Dense dense(store, "fc", 3, 2, rng);
-  std::string blob = nn::serialize_params(store);
+  su::ByteWriter out;
+  nn::serialize_params_binary(store, out);
 
   nn::ParamStore store2;
   su::Rng rng2(999);  // different init
   nn::Dense dense2(store2, "fc", 3, 2, rng2);
-  nn::deserialize_params(store2, blob);
-  auto w1 = store.find("fc.w");
-  auto w2 = store2.find("fc.w");
-  for (std::size_t i = 0; i < w1->value.size(); ++i) {
-    EXPECT_FLOAT_EQ(w1->value[i], w2->value[i]);
+  su::ByteReader in(out.data());
+  nn::deserialize_params_binary(store2, in);
+  EXPECT_TRUE(in.done());
+  for (const char* name : {"fc.w", "fc.b"}) {
+    const nn::Tensor& a = store.find(name)->value;
+    const nn::Tensor& b = store2.find(name)->value;
+    ASSERT_TRUE(a.same_shape(b));
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << name;
   }
 }
 
@@ -280,13 +288,25 @@ TEST(Serialize, RejectsMismatch) {
   nn::ParamStore store;
   su::Rng rng(15);
   nn::Dense dense(store, "fc", 3, 2, rng);
-  std::string blob = nn::serialize_params(store);
+  su::ByteWriter out;
+  nn::serialize_params_binary(store, out);
+  const std::string blob = out.data();
 
   nn::ParamStore other;
   nn::Dense dense2(other, "different", 3, 2, rng);
-  EXPECT_THROW(nn::deserialize_params(other, blob), std::runtime_error);
+  su::ByteReader other_in(blob);
+  EXPECT_THROW(nn::deserialize_params_binary(other, other_in),
+               std::runtime_error);
 
   nn::ParamStore wrong_shape;
   nn::Dense dense3(wrong_shape, "fc", 4, 2, rng);
-  EXPECT_THROW(nn::deserialize_params(wrong_shape, blob), std::runtime_error);
+  su::ByteReader shape_in(blob);
+  EXPECT_THROW(nn::deserialize_params_binary(wrong_shape, shape_in),
+               std::runtime_error);
+
+  su::ByteReader truncated(std::string_view(blob).substr(0, blob.size() / 2));
+  nn::ParamStore store2;
+  nn::Dense dense4(store2, "fc", 3, 2, rng);
+  EXPECT_THROW(nn::deserialize_params_binary(store2, truncated),
+               std::runtime_error);
 }

@@ -22,13 +22,25 @@ nm::ModelConfig tiny_config() {
   return c;
 }
 
+/// One gadget through the scoring entry point.
+nm::Prediction score(nm::Detector& net, const std::vector<int>& ids) {
+  const nm::BatchItem item{&ids};
+  nm::Prediction out;
+  net.predict_batch(&item, 1, &out);
+  return out;
+}
+
+float probability(nm::Detector& net, const std::vector<int>& ids) {
+  return score(net, ids).probability;
+}
+
 }  // namespace
 
 TEST(SeVulDetNet, HandlesFlexibleLengths) {
   nm::SeVulDetNet net(tiny_config());
   for (std::size_t len : {1u, 2u, 5u, 40u, 300u}) {
     std::vector<int> ids(len, 3);
-    float p = net.predict(ids);
+    float p = probability(net, ids);
     EXPECT_GE(p, 0.0f);
     EXPECT_LE(p, 1.0f);
   }
@@ -57,8 +69,7 @@ TEST(SeVulDetNet, PlainCnnHasFewerParams) {
 TEST(SeVulDetNet, TokenWeightsMatchInputLength) {
   nm::SeVulDetNet net(tiny_config());
   std::vector<int> ids(17, 2);
-  net.predict(ids);
-  EXPECT_EQ(net.last_token_weights().size(), 17u);
+  EXPECT_EQ(score(net, ids).token_weights.size(), 17u);
 }
 
 TEST(SeVulDetNet, NoTokenAttentionMeansNoWeights) {
@@ -66,8 +77,7 @@ TEST(SeVulDetNet, NoTokenAttentionMeansNoWeights) {
   cfg.multilayer_attention = false;
   cfg.token_attention = false;
   nm::SeVulDetNet net(cfg);
-  net.predict({1, 2, 3});
-  EXPECT_TRUE(net.last_token_weights().empty());
+  EXPECT_TRUE(score(net, {1, 2, 3}).token_weights.empty());
 }
 
 TEST(SeVulDetNet, RequiresVocabSize) {
@@ -92,7 +102,7 @@ TEST(SeVulDetNet, LearnsSimplePattern) {
       ids.push_back(tok);
     }
     if (positive) ids[rng.uniform(ids.size())] = 5;
-    auto logit = net.forward_logit(ids, true);
+    auto logit = net.forward_logit({&ids}, true);
     auto loss = nn::bce_with_logits(logit, positive ? 1.0f : 0.0f);
     opt.zero_grad();
     nn::backward(loss);
@@ -104,7 +114,7 @@ TEST(SeVulDetNet, LearnsSimplePattern) {
     const bool positive = i % 2 == 0;
     std::vector<int> ids(8, 3);
     if (positive) ids[4] = 5;
-    if ((net.predict(ids) > 0.5f) == positive) ++correct;
+    if ((probability(net, ids) > 0.5f) == positive) ++correct;
   }
   EXPECT_GE(correct, 90) << "model failed to learn a trivial pattern";
 }
@@ -129,11 +139,11 @@ TEST(BiRnnNet, TruncationLosesTailSignal) {
   std::vector<int> base(10, 3);
   std::vector<int> with_signal = base;
   with_signal[8] = 5;  // beyond the 6-token window
-  EXPECT_FLOAT_EQ(net.predict(base), net.predict(with_signal));
+  EXPECT_FLOAT_EQ(probability(net, base), probability(net, with_signal));
   // Inside the window the logits must differ.
   std::vector<int> visible = base;
   visible[2] = 5;
-  EXPECT_NE(net.predict(base), net.predict(visible));
+  EXPECT_NE(probability(net, base), probability(net, visible));
 }
 
 TEST(BiRnnNet, Factories) {

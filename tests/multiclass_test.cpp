@@ -89,15 +89,17 @@ TEST(MulticlassDetector, PredictClassShapes) {
   config.dense2 = 8;
   config.num_classes = 4;
   sm::SeVulDetNet net(config);
-  auto [cls, prob] = net.predict_class({2, 3, 4, 5});
-  EXPECT_GE(cls, 0);
-  EXPECT_LT(cls, 4);
-  EXPECT_GT(prob, 0.0f);
-  EXPECT_LE(prob, 1.0f);
-  // predict() == 1 - P(benign) for multiclass models.
-  float p = net.predict({2, 3, 4, 5});
-  EXPECT_GE(p, 0.0f);
-  EXPECT_LE(p, 1.0f);
+  const std::vector<int> ids = {2, 3, 4, 5};
+  const sm::BatchItem item{&ids};
+  EXPECT_EQ(net.forward_logit(item, /*train=*/false)->value.cols(), 4);
+  // predict_batch reports 1 - P(benign) for multiclass models, bitwise
+  // equal on the batched engine and the per-item base loop.
+  sm::Prediction batched, loop;
+  net.predict_batch(&item, 1, &batched);
+  net.Detector::predict_batch(&item, 1, &loop);
+  EXPECT_GE(batched.probability, 0.0f);
+  EXPECT_LE(batched.probability, 1.0f);
+  EXPECT_EQ(batched.probability, loop.probability);
 }
 
 TEST(Multiclass, EndToEndLearnsTypes) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "sevuldet/core/pipeline.hpp"
 #include "sevuldet/dataset/kfold.hpp"
@@ -33,6 +35,31 @@ std::vector<sd::TestCase> tiny_cases() {
   config.long_fraction = 0.0;  // keep sequences short for test speed
   config.seed = 11;
   return sd::generate_sard_like(config);
+}
+
+/// Probability of one encoded gadget through the scoring entry point.
+float probability(sc::SeVulDet& detector, const std::vector<int>& ids) {
+  const sevuldet::models::BatchItem item{&ids};
+  sevuldet::models::Prediction out;
+  detector.model().predict_batch(&item, 1, &out);
+  return out.probability;
+}
+
+std::string read_all(const std::string& path) {
+  FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  std::string bytes;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  std::fclose(f);
+  return bytes;
+}
+
+void write_all(const std::string& path, const std::string& bytes) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
 }
 
 }  // namespace
@@ -80,7 +107,7 @@ TEST(Pipeline, SaveLoadRoundTrip) {
   sc::SeVulDet detector(tiny_pipeline_config());
   detector.train(cases);
 
-  const std::string path = "/tmp/sevuldet_test_model.txt";
+  const std::string path = ::testing::TempDir() + "sevuldet_test_model.bin";
   detector.save(path);
 
   sc::SeVulDet restored(tiny_pipeline_config());
@@ -89,7 +116,7 @@ TEST(Pipeline, SaveLoadRoundTrip) {
 
   // Identical predictions on identical input.
   std::vector<int> probe = {2, 3, 4, 5, 6, 7, 8};
-  EXPECT_FLOAT_EQ(detector.predict(probe), restored.predict(probe));
+  EXPECT_FLOAT_EQ(probability(detector, probe), probability(restored, probe));
   EXPECT_EQ(detector.vocab().size(), restored.vocab().size());
 }
 
@@ -132,65 +159,90 @@ TEST(Pipeline, FindingsIdenticalAfterReload) {
   }
 }
 
-// The legacy v1 text format must stay loadable, and load identically.
-TEST(Pipeline, LoadsLegacyV1TextFormat) {
+// A file can be intact (checksum-valid) yet saved under another
+// ModelConfig. Loading it must throw and leave the detector exactly as it
+// was: same vocabulary, same weights, same findings.
+TEST(Pipeline, FailedLoadKeepsPreviousModel) {
   auto cases = tiny_cases();
-  sc::SeVulDet detector(tiny_pipeline_config());
-  detector.train(cases);
+  sc::PipelineConfig config = tiny_pipeline_config();
+  config.model.threshold = 0.3f;  // low bar so the scan yields findings
+  sc::SeVulDet trained(config);
+  trained.train(cases);
+  const std::string good = ::testing::TempDir() + "failed_load_good.bin";
+  trained.save(good);
 
-  const std::string path = ::testing::TempDir() + "legacy_v1_model.txt";
-  detector.save_text_v1(path);
-  sc::SeVulDet restored(tiny_pipeline_config());
-  restored.load(path);
-  std::remove(path.c_str());
+  sc::PipelineConfig other_config = tiny_pipeline_config();
+  other_config.model.embed_dim = 10;
+  other_config.train.epochs = 1;
+  other_config.pretrain_embeddings = false;
+  sc::SeVulDet other(other_config);
+  other.train(cases);
+  const std::string mismatched = ::testing::TempDir() + "failed_load_other.bin";
+  other.save(mismatched);
 
-  std::vector<int> probe = {2, 3, 4, 5, 6, 7, 8};
-  EXPECT_FLOAT_EQ(detector.predict(probe), restored.predict(probe));
-  EXPECT_EQ(detector.vocab().size(), restored.vocab().size());
+  sc::SeVulDet detector(config);
+  detector.load(good);
+  std::string source;
+  std::vector<sc::Finding> expected;
+  for (const auto& tc : cases) {
+    if (!tc.vulnerable) continue;
+    expected = detector.detect(tc.source);
+    if (!expected.empty()) {
+      source = tc.source;
+      break;
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  const int vocab_size = detector.vocab().size();
+
+  EXPECT_THROW(detector.load(mismatched), std::runtime_error);
+  EXPECT_TRUE(detector.trained());
+  EXPECT_EQ(detector.vocab().size(), vocab_size);
+  const auto actual = detector.detect(source);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].line, expected[i].line);
+    EXPECT_EQ(actual[i].token, expected[i].token);
+    EXPECT_EQ(actual[i].probability, expected[i].probability);
+    EXPECT_EQ(actual[i].top_tokens, expected[i].top_tokens);
+  }
+
+  // An untrained detector stays untrained.
+  sc::SeVulDet fresh(config);
+  EXPECT_THROW(fresh.load(mismatched), std::runtime_error);
+  EXPECT_FALSE(fresh.trained());
+  std::remove(good.c_str());
+  std::remove(mismatched.c_str());
 }
 
 TEST(Pipeline, LoadRejectsGarbage) {
-  const std::string path = "/tmp/sevuldet_test_garbage.txt";
-  {
-    FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("not a model\n", f);
-    std::fclose(f);
+  const std::string path = ::testing::TempDir() + "sevuldet_test_garbage.bin";
+  // Unknown text, and the header of the retired v1 text format.
+  for (const char* bytes : {"not a model\n", "SEVULDET-MODEL v1\nvocab 0\n"}) {
+    write_all(path, bytes);
+    sc::SeVulDet detector(tiny_pipeline_config());
+    try {
+      detector.load(path);
+      ADD_FAILURE() << "loaded " << bytes;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad model file header"),
+                std::string::npos)
+          << e.what();
+    }
   }
-  sc::SeVulDet detector(tiny_pipeline_config());
-  EXPECT_THROW(detector.load(path), std::runtime_error);
   std::remove(path.c_str());
 }
 
-// Truncated or bit-flipped model files of either format must throw, not
-// load a silently NUL-padded vocabulary or half-written weights.
+// Truncated or bit-flipped model files must throw, not load half-written
+// weights.
 TEST(Pipeline, LoadRejectsTruncatedAndCorruptFiles) {
   auto cases = tiny_cases();
   sc::SeVulDet detector(tiny_pipeline_config());
   detector.train(cases);
 
   const std::string v2_path = ::testing::TempDir() + "trunc_model.bin";
-  const std::string v1_path = ::testing::TempDir() + "trunc_model.txt";
   detector.save(v2_path);
-  detector.save_text_v1(v1_path);
-
-  auto read_all = [](const std::string& path) {
-    FILE* f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    std::string bytes;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-    std::fclose(f);
-    return bytes;
-  };
-  auto write_all = [](const std::string& path, const std::string& bytes) {
-    FILE* f = std::fopen(path.c_str(), "wb");
-    std::fwrite(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-  };
-
   const std::string v2_bytes = read_all(v2_path);
-  const std::string v1_bytes = read_all(v1_path);
   const std::string probe_path = ::testing::TempDir() + "probe_model.bin";
 
   // v2: cut at several depths (header, mid-payload, missing checksum).
@@ -208,22 +260,8 @@ TEST(Pipeline, LoadRejectsTruncatedAndCorruptFiles) {
     sc::SeVulDet probe(tiny_pipeline_config());
     EXPECT_THROW(probe.load(probe_path), std::runtime_error);
   }
-  // v1: truncating inside the vocabulary blob must throw (this was the
-  // silent-NUL-padding bug), as must truncating the parameter floats.
-  {
-    const std::size_t vocab_cut = v1_bytes.find('\n', v1_bytes.find("vocab")) + 8;
-    ASSERT_LT(vocab_cut, v1_bytes.size());
-    write_all(probe_path, v1_bytes.substr(0, vocab_cut));
-    sc::SeVulDet probe(tiny_pipeline_config());
-    EXPECT_THROW(probe.load(probe_path), std::runtime_error);
-
-    write_all(probe_path, v1_bytes.substr(0, v1_bytes.size() / 2));
-    sc::SeVulDet probe2(tiny_pipeline_config());
-    EXPECT_THROW(probe2.load(probe_path), std::runtime_error);
-  }
 
   std::remove(v2_path.c_str());
-  std::remove(v1_path.c_str());
   std::remove(probe_path.c_str());
 }
 
@@ -273,16 +311,6 @@ TEST(Pipeline, DefaultBackendIsCnnWithByteStableV2Files) {
   detector.save(a);
   detector.save(b);
 
-  auto read_all = [](const std::string& path) {
-    FILE* f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    std::string bytes;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-    std::fclose(f);
-    return bytes;
-  };
   const std::string bytes_a = read_all(a);
   const std::string bytes_b = read_all(b);
   std::remove(a.c_str());

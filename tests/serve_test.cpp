@@ -395,11 +395,13 @@ TEST(ServeBatcher, BatchedScoresMatchInlineBitwise) {
   auto prepared = f.detector.prepare(f.vulnerable_source);
   ASSERT_FALSE(prepared.empty());
 
-  // Inline (unbatched) reference, serial on the fixture model.
-  std::vector<sevuldet::models::Prediction> expected;
-  for (const auto& gadget : prepared) {
-    expected.push_back(f.detector.model().predict_captured(gadget.ids, true));
-  }
+  // Inline (unbatched) reference: the base class's per-item loop,
+  // serial on the fixture model.
+  std::vector<sevuldet::models::BatchItem> items;
+  for (const auto& gadget : prepared) items.push_back({&gadget.ids, true});
+  std::vector<sevuldet::models::Prediction> expected(items.size());
+  f.detector.model().Detector::predict_batch(items.data(), items.size(),
+                                             expected.data());
 
   // Batched, across clones, submitted concurrently so entries coalesce.
   serve::BatcherOptions options;
@@ -773,7 +775,7 @@ TEST(ServeTelemetry, AccessLogRecordsEveryRequest) {
       EXPECT_EQ("logged-1", record.at("trace_id").str);
       EXPECT_GE(record.at("batch_size").number, 1.0);
       EXPECT_GT(record.at("infer_ms").number, 0.0);
-      EXPECT_EQ("fp32", record.at("precision").str);
+      EXPECT_EQ("SEVulDet(CNN-MultiATT)", record.at("backend").str);
     }
     if (record.at("op").str == "report-status") saw_status = true;
   }

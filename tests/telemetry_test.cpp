@@ -255,7 +255,6 @@ TEST(TelemetryAccessLog, RecordLeadsWithSchemaAndRoundTrips) {
   record.infer_ms = 3.5;
   record.total_ms = 4.75;
   record.batch_size = 2;
-  record.precision = "fp32";
   record.backend = "SEVulDet(CNN-MultiATT)";
   record.error = "";
   const std::string line = telemetry::access_record_to_json(record);
@@ -269,7 +268,7 @@ TEST(TelemetryAccessLog, RecordLeadsWithSchemaAndRoundTrips) {
   EXPECT_EQ(3.5, doc.at("infer_ms").number);
   EXPECT_EQ(4.75, doc.at("total_ms").number);
   EXPECT_EQ(2.0, doc.at("batch_size").number);
-  EXPECT_EQ("fp32", doc.at("precision").str);
+  EXPECT_EQ("SEVulDet(CNN-MultiATT)", doc.at("backend").str);
   EXPECT_EQ("", doc.at("error").str);
 }
 

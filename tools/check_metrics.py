@@ -52,7 +52,6 @@ ACCESS_LOG_FIELDS = {
     "infer_ms": (int, float),
     "total_ms": (int, float),
     "batch_size": (int,),
-    "precision": (str,),
     "backend": (str,),
     "error": (str,),
 }
